@@ -1,11 +1,13 @@
 //! Criterion bench for the replay hot path: ns/event for the scalar
 //! reference loop vs the batched SoA engine, on the four captures the
-//! `BENCH_soa_engine.json` methodology tracks (canneal, gups, mcf,
-//! libquantum at the paper-default 64 KB metadata cache).
+//! repository benchmark reports as `replay.ns_per_event.*` (canneal,
+//! gups, mcf, libquantum at the paper-default 64 KB metadata cache).
 //!
 //! With `Throughput::Elements(total_events)` criterion reports per-event
 //! time directly; the batched/scalar ratio is the headline number of the
-//! struct-of-arrays engine work.
+//! struct-of-arrays engine work. Recorded measurements come from the
+//! benchmark itself:
+//! `python3 perfbench/run.py --workload fig2_sweep --seed 1296126035 --seconds 25 --trace 1`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use maps_sim::{CapturedTrace, ReplaySim, SimConfig};

@@ -12,13 +12,11 @@ pub struct AccessResult {
     pub hit: bool,
     /// Line evicted to make room, if any.
     pub evicted: Option<Line>,
-}
-
-impl AccessResult {
-    const HIT: AccessResult = AccessResult {
-        hit: true,
-        evicted: None,
-    };
+    /// Frame holding the accessed line afterwards: `set * ways + way` in
+    /// the set-associative core, the data-store frame in the randomized
+    /// one. A fill that evicted reuses the victim's frame, so per-frame
+    /// side tables (tenant ownership) update in place.
+    pub frame: usize,
 }
 
 /// Tag value marking an empty frame in the packed tag array. Block keys
@@ -250,17 +248,17 @@ impl<P: Policy> SetAssocCache<P> {
             }
             self.policy.on_hit(set, way, t, kind);
             self.stats.record_access(kind, true);
-            return AccessResult::HIT;
+            return AccessResult {
+                hit: true,
+                evicted: None,
+                frame: idx,
+            };
         }
 
         self.stats.record_access(kind, false);
         let mut new_line = Line::filled(key, kind, t);
         new_line.dirty = write;
-        let evicted = self.fill(set, new_line, range, first_empty);
-        AccessResult {
-            hit: false,
-            evicted,
-        }
+        self.fill(set, new_line, range, first_empty)
     }
 
     /// Probes without allocating: records a hit/miss and refreshes recency
@@ -276,7 +274,9 @@ impl<P: Policy> SetAssocCache<P> {
 
     /// Inserts a partial-write placeholder holding only sub-entry `slot`.
     /// Misses only; the caller must have established non-residency (e.g.
-    /// via a missed [`SetAssocCache::access`]).
+    /// via a missed [`SetAssocCache::access`]). The result reports the
+    /// fill like a missed access (`hit` is `false`); no statistics are
+    /// recorded for the insert itself.
     ///
     /// # Panics
     ///
@@ -287,7 +287,7 @@ impl<P: Policy> SetAssocCache<P> {
         kind: BlockKind,
         slot: u8,
         partition_override: Option<&Partition>,
-    ) -> Option<Line> {
+    ) -> AccessResult {
         let range = self.allowed_ways(kind, partition_override);
         self.insert_placeholder_ranged(key, kind, slot, range)
     }
@@ -305,7 +305,7 @@ impl<P: Policy> SetAssocCache<P> {
         kind: BlockKind,
         slot: u8,
         ways: (usize, usize),
-    ) -> Option<Line> {
+    ) -> AccessResult {
         debug_assert!(
             ways.0 < ways.1 && ways.1 <= self.cfg.ways(),
             "way range ({}, {}) invalid for {} ways",
@@ -322,7 +322,7 @@ impl<P: Policy> SetAssocCache<P> {
         kind: BlockKind,
         slot: u8,
         range: (usize, usize),
-    ) -> Option<Line> {
+    ) -> AccessResult {
         let set = self.cfg.set_of(key);
         let (hit_way, first_empty) = self.scan_set(set, key);
         debug_assert!(
@@ -471,7 +471,7 @@ impl<P: Policy> SetAssocCache<P> {
         new_line: Line,
         (lo, hi): (usize, usize),
         first_empty: Option<usize>,
-    ) -> Option<Line> {
+    ) -> AccessResult {
         let base = set * self.cfg.ways();
         debug_assert_ne!(
             new_line.key, EMPTY_TAG,
@@ -487,7 +487,11 @@ impl<P: Policy> SetAssocCache<P> {
         if let Some(way) = empty {
             self.store_line(base + way, &new_line);
             self.policy.on_fill(set, way, &new_line);
-            return None;
+            return AccessResult {
+                hit: false,
+                evicted: None,
+                frame: base + way,
+            };
         }
 
         let way = match self
@@ -518,7 +522,11 @@ impl<P: Policy> SetAssocCache<P> {
         self.stats.record_eviction(victim.kind, victim.dirty);
         self.store_line(base + way, &new_line);
         self.policy.on_fill(set, way, &new_line);
-        Some(victim)
+        AccessResult {
+            hit: false,
+            evicted: Some(victim),
+            frame: base + way,
+        }
     }
 }
 

@@ -12,8 +12,8 @@
 //! * [`partition`] — static way-partitioning between counters and hashes
 //!   plus the set-dueling machinery from Section V-C.
 //! * [`tenant`] — per-tenant way partitioning ([`TenantPartition`]) and
-//!   per-tenant stats/occupancy accounting ([`TenantStatsTable`]) for the
-//!   multi-tenant scenario layer.
+//!   per-tenant accounting ([`TenantStatsTable`] for stats, [`FrameOwners`]
+//!   for occupancy) for the multi-tenant scenario layer.
 //! * [`randomized`] — a MIRAGE-style fully-associative randomized cache
 //!   ([`RandomizedCache`]) with keyed tag indexing and global-random
 //!   eviction, the alternative metadata-cache backend.
@@ -54,4 +54,4 @@ pub use policy::Policy;
 pub use psel::{PselCounter, PSEL_MAX};
 pub use randomized::{derive_keys, keyed_index, RandomizedCache, SKEWS};
 pub use stats::{CacheStats, KindStats};
-pub use tenant::{TenantPartition, TenantPartitionError, TenantStatsTable};
+pub use tenant::{FrameOwners, TenantPartition, TenantPartitionError, TenantStatsTable};

@@ -37,7 +37,7 @@ use maps_trace::{BlockKind, BLOCK_BYTES};
 
 use crate::cache::AccessResult;
 use crate::line::LineMeta;
-use crate::{CacheStats, Line};
+use crate::{CacheStats, FrameOwners, Line};
 
 /// Number of tag-store skews (MIRAGE uses two).
 pub const SKEWS: usize = 2;
@@ -90,21 +90,21 @@ pub struct RandomizedCache {
     tag_keys: Vec<u64>,
     tag_frames: Vec<u32>,
     /// Data store, struct-of-arrays like the set-associative core:
-    /// per-frame key (EMPTY_TAG when free), timestamps, line meta, the
-    /// back-pointer to the frame's tag slot, and the owning tenant.
+    /// per-frame key (EMPTY_TAG when free), timestamps, line meta, and
+    /// the back-pointer to the frame's tag slot.
     fkeys: Vec<u64>,
     fstamps: Vec<u64>,
     finserts: Vec<u64>,
     fmeta: Vec<LineMeta>,
     fslot: Vec<u32>,
-    fowner: Vec<u8>,
+    /// Owning tenant per frame and live frames per tenant (the quota
+    /// reads the counts; the metadata cache reports them as occupancy).
+    owners: FrameOwners,
     /// Free-frame stack; initialized reversed so pops hand out frames in
     /// ascending order.
     free: Vec<u32>,
     /// Per-tenant frame quota (None: unpartitioned).
     quota: Option<usize>,
-    /// Live frames per tenant (grown on demand).
-    counts: Vec<u64>,
     stats: CacheStats,
     time: u64,
 }
@@ -145,10 +145,9 @@ impl RandomizedCache {
             finserts: vec![0; capacity],
             fmeta: vec![LineMeta::EMPTY; capacity],
             fslot: vec![0; capacity],
-            fowner: vec![0; capacity],
+            owners: FrameOwners::new(capacity),
             free: (0..capacity as u32).rev().collect(),
             quota: None,
-            counts: Vec::new(),
             stats: CacheStats::default(),
             time: 0,
         }
@@ -204,8 +203,9 @@ impl RandomizedCache {
     }
 
     /// Live frames owned by `tenant`.
+    #[inline]
     pub fn tenant_occupancy(&self, tenant: u8) -> u64 {
-        self.counts.get(tenant as usize).copied().unwrap_or(0)
+        self.owners.occupancy(tenant)
     }
 
     /// Returns `true` if `key` is resident (no state change).
@@ -227,12 +227,6 @@ impl RandomizedCache {
             .map(|f| self.line_at(f))
     }
 
-    /// The owning tenant of `key`'s frame, if resident.
-    pub fn owner_of(&self, key: u64) -> Option<u8> {
-        let (_, frame) = self.locate(key)?;
-        Some(self.fowner[frame])
-    }
-
     /// Accesses `key` as `tenant`, allocating on miss.
     pub fn access(&mut self, key: u64, kind: BlockKind, write: bool, tenant: u8) -> AccessResult {
         let t = self.time;
@@ -246,16 +240,13 @@ impl RandomizedCache {
             return AccessResult {
                 hit: true,
                 evicted: None,
+                frame,
             };
         }
         self.stats.record_access(kind, false);
         let mut new_line = Line::filled(key, kind, t);
         new_line.dirty = write;
-        let evicted = self.install(new_line, tenant);
-        AccessResult {
-            hit: false,
-            evicted,
-        }
+        self.install(new_line, tenant)
     }
 
     /// Probes without allocating: records a hit/miss but never fills or
@@ -268,7 +259,8 @@ impl RandomizedCache {
 
     /// Inserts a partial-write placeholder holding only sub-entry
     /// `slot`. Misses only; the caller must have established
-    /// non-residency.
+    /// non-residency. Reported like a missed access, without recording
+    /// statistics for the insert itself.
     ///
     /// Debug builds panic if `key` is already resident or `slot >= 8`.
     pub fn insert_placeholder(
@@ -277,7 +269,7 @@ impl RandomizedCache {
         kind: BlockKind,
         slot: u8,
         tenant: u8,
-    ) -> Option<Line> {
+    ) -> AccessResult {
         debug_assert!(
             self.locate(key).is_none(),
             "placeholder insert for resident key {key}"
@@ -332,7 +324,7 @@ impl RandomizedCache {
             }
         }
         self.free = (0..self.capacity as u32).rev().collect();
-        self.counts.clear();
+        self.owners.clear();
         out
     }
 
@@ -373,10 +365,7 @@ impl RandomizedCache {
         let line = self.line_at(frame);
         self.tag_keys[self.fslot[frame] as usize] = EMPTY_TAG;
         self.fkeys[frame] = EMPTY_TAG;
-        let owner = self.fowner[frame] as usize;
-        if let Some(c) = self.counts.get_mut(owner) {
-            *c = c.saturating_sub(1);
-        }
+        self.owners.release(frame);
         self.free.push(frame as u32);
         line
     }
@@ -400,7 +389,7 @@ impl RandomizedCache {
     /// another tenant); with ~2x tag provisioning they are rare enough
     /// that the quota drift is negligible, mirroring MIRAGE's security
     /// argument for set-conflict evictions.
-    fn install(&mut self, new_line: Line, tenant: u8) -> Option<Line> {
+    fn install(&mut self, new_line: Line, tenant: u8) -> AccessResult {
         debug_assert_ne!(
             new_line.key, EMPTY_TAG,
             "key collides with the empty-frame sentinel"
@@ -452,25 +441,28 @@ impl RandomizedCache {
             // Unreachable by construction: every eviction above pushes a
             // frame, and capacity > 0.
             debug_assert!(false, "free list empty after eviction");
-            return victim;
+            return AccessResult {
+                hit: false,
+                evicted: victim,
+                frame: 0,
+            };
         };
         self.fkeys[frame] = new_line.key;
         self.fstamps[frame] = new_line.last_at;
         self.finserts[frame] = new_line.insert_at;
         self.fmeta[frame] = LineMeta::of(&new_line);
         self.fslot[frame] = slot as u32;
-        self.fowner[frame] = tenant;
-        let t = tenant as usize;
-        if t >= self.counts.len() {
-            self.counts.resize(t + 1, 0);
-        }
-        self.counts[t] += 1;
+        self.owners.claim(frame, tenant);
         self.tag_keys[slot] = new_line.key;
         self.tag_frames[slot] = frame as u32;
         if let Some(v) = &victim {
             self.stats.record_eviction(v.kind, v.dirty);
         }
-        victim
+        AccessResult {
+            hit: false,
+            evicted: victim,
+            frame,
+        }
     }
 
     /// Evicts a uniformly random live frame owned by `tenant` (the
@@ -483,7 +475,7 @@ impl RandomizedCache {
         let mut seen = 0u64;
         let mut chosen = None;
         for f in 0..self.capacity {
-            if self.fkeys[f] != EMPTY_TAG && self.fowner[f] == tenant {
+            if self.fkeys[f] != EMPTY_TAG && self.owners.owner(f) == tenant {
                 chosen = Some(f);
                 if seen == r {
                     break;
@@ -491,7 +483,7 @@ impl RandomizedCache {
                 seen += 1;
             }
         }
-        // counts[] tracks exactly the live frames per owner, so the scan
+        // The owner counts track exactly the live frames, so the scan
         // always lands on the r-th owned frame; a desynced ledger is
         // debug-checked and falls back to frame 0 instead of aborting.
         debug_assert!(chosen.is_some(), "tenant occupancy ledger out of sync");
@@ -581,7 +573,10 @@ mod tests {
     #[test]
     fn placeholders_and_partial_writes_match_set_assoc_contract() {
         let mut c = cache(16);
-        assert!(c.insert_placeholder(3, BlockKind::Hash, 2, 0).is_none());
+        assert!(c
+            .insert_placeholder(3, BlockKind::Hash, 2, 0)
+            .evicted
+            .is_none());
         assert!(c.contains(3));
         assert_eq!(c.mark_valid(3, 5), Some(0b0010_0100));
         assert_eq!(

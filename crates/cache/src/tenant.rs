@@ -1,7 +1,7 @@
 //! Per-tenant way partitioning and accounting.
 //!
 //! Production secure memory serves several mutually distrusting tenants
-//! through one metadata cache. This module carries the two pieces the
+//! through one metadata cache. This module carries the pieces the
 //! multi-tenant scenarios need from the cache layer:
 //!
 //! * [`TenantPartition`] — an even static split of a set-associative
@@ -12,20 +12,23 @@
 //!   hits are range-unrestricted (shared metadata such as upper tree
 //!   levels stays usable by everyone, exactly like way-based DRAM cache
 //!   partitioning in real parts).
-//! * [`TenantStatsTable`] — per-tenant [`CacheStats`] plus an occupancy
-//!   ledger. Attribution is by delta: the caller snapshots the cache's
-//!   global stats before an access and feeds the after-minus-before
-//!   difference to the requesting tenant, so the per-tenant counters sum
-//!   to the global ones for *any* interleaving, by construction.
+//! * [`TenantStatsTable`] — per-tenant [`CacheStats`], booked directly:
+//!   each metadata-cache call records its one access (and its eviction,
+//!   if it returned a victim) on the requester's row, exactly as the
+//!   backend records them globally, so the per-tenant counters sum to the
+//!   global ones for *any* interleaving.
+//! * [`FrameOwners`] — the owning tenant of every frame plus live frames
+//!   per tenant, updated on fill, eviction, and drain. Per-tenant
+//!   occupancy is read from it; both metadata-cache backends share it.
 //!
-//! Everything here is deterministic and allocation-free on the access
-//! path except the owner map (one hash-map update per fill/eviction).
+//! Everything here is deterministic, hash-free, and allocation-free on
+//! the access path: tenant rows are fixed arrays indexed by the `u8` id.
 
 use std::fmt;
 
-use maps_trace::det::DetHashMap;
+use maps_trace::BlockKind;
 
-use crate::CacheStats;
+use crate::{CacheStats, Line};
 
 /// An invalid tenant split: every tenant must get at least one way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,17 +110,30 @@ impl TenantPartition {
     }
 }
 
-/// Per-tenant statistics and occupancy for one cache.
+/// Number of distinct tenant ids (`u8`): per-tenant tables are fixed
+/// arrays indexed by the raw id, so booking needs no growth check and no
+/// bounds check.
+const TENANT_SLOTS: usize = u8::MAX as usize + 1;
+
+/// Per-tenant statistics for one cache, booked directly by the requester.
 ///
-/// Grows on demand as tenant ids appear; tenants that never accessed the
-/// cache occupy no space and report zeroed stats.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Every metadata-cache call records exactly one access of its kind in the
+/// backend (hit, miss, or bypass probe) and at most one eviction (the
+/// victim's kind and dirty bit, exactly when the call returns a victim).
+/// [`TenantStatsTable::book`] records the same two facts on the
+/// requester's row, so the rows sum to the backend's global counters for
+/// any interleaving.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantStatsTable {
-    stats: Vec<CacheStats>,
-    occupancy: Vec<u64>,
-    /// Resident block key -> owning tenant, for occupancy attribution of
-    /// evictions (the evicted line does not carry its owner).
-    owner: DetHashMap<u64, u8>,
+    stats: Box<[CacheStats; TENANT_SLOTS]>,
+}
+
+impl Default for TenantStatsTable {
+    fn default() -> Self {
+        Self {
+            stats: Box::new([CacheStats::default(); TENANT_SLOTS]),
+        }
+    }
 }
 
 impl TenantStatsTable {
@@ -126,84 +142,106 @@ impl TenantStatsTable {
         Self::default()
     }
 
-    fn slot(&mut self, tenant: u8) -> usize {
-        let t = tenant as usize;
-        if t >= self.stats.len() {
-            self.stats.resize(t + 1, CacheStats::default());
-            self.occupancy.resize(t + 1, 0);
+    /// Books one call on behalf of `tenant`: an access of `kind` that hit
+    /// or missed, and the eviction of `evicted` if the call displaced a
+    /// line.
+    #[inline]
+    pub fn book(&mut self, tenant: u8, kind: BlockKind, hit: bool, evicted: Option<&Line>) {
+        let s = &mut self.stats[tenant as usize];
+        s.record_access(kind, hit);
+        if let Some(victim) = evicted {
+            s.record_eviction(victim.kind, victim.dirty);
         }
-        t
-    }
-
-    /// Attributes a stats delta (after-minus-before around one access)
-    /// to `tenant`.
-    pub fn add_delta(&mut self, tenant: u8, delta: &CacheStats) {
-        let t = self.slot(tenant);
-        self.stats[t].accumulate(delta);
-    }
-
-    /// Records that `tenant` now owns the resident line `key`.
-    pub fn note_fill(&mut self, key: u64, tenant: u8) {
-        let t = self.slot(tenant);
-        if let Some(prev) = self.owner.insert(key, tenant) {
-            // A fill over a still-tracked key means the previous owner's
-            // line left the cache without `note_evict` (should not
-            // happen); keep the ledger consistent anyway.
-            let p = self.slot(prev);
-            self.occupancy[p] = self.occupancy[p].saturating_sub(1);
-        }
-        self.occupancy[t] += 1;
-    }
-
-    /// Records that the resident line `key` left the cache (eviction,
-    /// invalidation, or drain), returning its owner if it was tracked.
-    pub fn note_evict(&mut self, key: u64) -> Option<u8> {
-        let tenant = self.owner.remove(&key)?;
-        let t = self.slot(tenant);
-        self.occupancy[t] = self.occupancy[t].saturating_sub(1);
-        Some(tenant)
-    }
-
-    /// The owning tenant of a resident line, if tracked.
-    pub fn owner_of(&self, key: u64) -> Option<u8> {
-        self.owner.get(&key).copied()
     }
 
     /// Accumulated stats for `tenant` (zeroes if never seen).
-    pub fn stats(&self, tenant: u8) -> CacheStats {
-        self.stats.get(tenant as usize).copied().unwrap_or_default()
-    }
-
-    /// Current resident-line count owned by `tenant`.
-    pub fn occupancy(&self, tenant: u8) -> u64 {
-        self.occupancy.get(tenant as usize).copied().unwrap_or(0)
-    }
-
-    /// Tenant ids that have ever been attributed an access or a fill, in
-    /// ascending order.
-    pub fn tenants(&self) -> impl Iterator<Item = u8> + '_ {
-        (0..self.stats.len() as u8).filter(move |&t| {
-            self.stats[t as usize].total().accesses != 0 || self.occupancy[t as usize] != 0
-        })
+    pub fn stats(&self, tenant: u8) -> &CacheStats {
+        &self.stats[tenant as usize]
     }
 
     /// Sum of all per-tenant stats (equals the cache's global stats over
-    /// the same interval when every access was attributed).
+    /// the same interval when every access was booked).
     pub fn combined(&self) -> CacheStats {
         let mut sum = CacheStats::default();
-        for s in &self.stats {
+        for s in self.stats.iter() {
             sum.accumulate(s);
         }
         sum
     }
 
-    /// Clears per-tenant counters (e.g. after warm-up) while keeping the
-    /// occupancy ledger, mirroring
+    /// Clears per-tenant counters (e.g. after warm-up), mirroring
     /// [`SetAssocCache::reset_stats`](crate::SetAssocCache::reset_stats).
     pub fn reset_stats(&mut self) {
-        for s in &mut self.stats {
+        for s in self.stats.iter_mut() {
             s.reset();
         }
+    }
+}
+
+/// The owning tenant of every frame of one cache, plus live frames per
+/// tenant.
+///
+/// The owner is written when a fill claims a frame and read back when the
+/// frame is vacated, so eviction attribution needs no key lookup. Both
+/// metadata-cache backends use it: the randomized cache keeps one
+/// internally (its frame quota reads the counts), and the set-associative
+/// metadata cache keeps one beside its [`SetAssocCache`](crate::SetAssocCache),
+/// indexed by the frame each fill reports.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FrameOwners {
+    owner: Vec<u8>,
+    counts: Box<[u64; TENANT_SLOTS]>,
+}
+
+impl FrameOwners {
+    /// A column for `frames` frames, all empty.
+    pub fn new(frames: usize) -> Self {
+        Self {
+            owner: vec![0; frames],
+            counts: Box::new([0; TENANT_SLOTS]),
+        }
+    }
+
+    /// Records that `tenant` filled the empty `frame`.
+    #[inline]
+    pub fn claim(&mut self, frame: usize, tenant: u8) {
+        self.owner[frame] = tenant;
+        self.counts[tenant as usize] += 1;
+    }
+
+    /// Records that the occupied `frame` was vacated.
+    #[inline]
+    pub fn release(&mut self, frame: usize) {
+        let c = &mut self.counts[self.owner[frame] as usize];
+        *c = c.saturating_sub(1);
+    }
+
+    /// Records a fill of `frame` by `tenant`; `replaced` says whether the
+    /// fill displaced a resident line (whose owner loses the frame).
+    #[inline]
+    pub fn fill(&mut self, frame: usize, tenant: u8, replaced: bool) {
+        if replaced {
+            self.release(frame);
+        }
+        self.claim(frame, tenant);
+    }
+
+    /// The tenant that last filled `frame` (meaningful while it is
+    /// occupied).
+    #[inline]
+    pub fn owner(&self, frame: usize) -> u8 {
+        self.owner[frame]
+    }
+
+    /// Live frames owned by `tenant`.
+    #[inline]
+    pub fn occupancy(&self, tenant: u8) -> u64 {
+        self.counts[tenant as usize]
+    }
+
+    /// Forgets every frame (the cache was drained).
+    pub fn clear(&mut self) {
+        *self.counts = [0; TENANT_SLOTS];
     }
 }
 
@@ -255,37 +293,42 @@ mod tests {
     }
 
     #[test]
-    fn delta_attribution_sums_to_global() {
+    fn direct_booking_sums_to_global() {
         let mut global = CacheStats::default();
         let mut table = TenantStatsTable::new();
         for i in 0..100u64 {
             let tenant = (i % 3) as u8;
-            let before = global;
-            global.record_access(BlockKind::Counter, i % 2 == 0);
-            if i % 5 == 0 {
-                global.record_eviction(BlockKind::Counter, i % 10 == 0);
-            }
-            table.add_delta(tenant, &global.delta_since(&before));
+            let hit = i % 2 == 0;
+            global.record_access(BlockKind::Counter, hit);
+            let victim = (i % 5 == 0).then(|| {
+                let mut l = Line::filled(i, BlockKind::Hash, i);
+                l.dirty = i % 10 == 0;
+                global.record_eviction(l.kind, l.dirty);
+                l
+            });
+            table.book(tenant, BlockKind::Counter, hit, victim.as_ref());
         }
         assert_eq!(table.combined(), global);
-        assert_eq!(table.tenants().count(), 3);
+        assert_eq!(table.stats(1).total().accesses, 33);
+        assert_eq!(*table.stats(7), CacheStats::default());
+        table.reset_stats();
+        assert_eq!(table.combined(), CacheStats::default());
     }
 
     #[test]
-    fn occupancy_ledger_tracks_fills_and_evictions() {
-        let mut table = TenantStatsTable::new();
-        table.note_fill(10, 1);
-        table.note_fill(11, 1);
-        table.note_fill(20, 2);
-        assert_eq!(table.occupancy(1), 2);
-        assert_eq!(table.occupancy(2), 1);
-        assert_eq!(table.owner_of(10), Some(1));
-        assert_eq!(table.note_evict(10), Some(1));
-        assert_eq!(table.occupancy(1), 1);
-        assert_eq!(table.note_evict(99), None);
-        // Reset keeps the occupancy ledger.
-        table.add_delta(1, &CacheStats::default());
-        table.reset_stats();
-        assert_eq!(table.occupancy(1), 1);
+    fn frame_owners_track_fills_evictions_and_clear() {
+        let mut owners = FrameOwners::new(4);
+        owners.fill(0, 1, false);
+        owners.fill(1, 1, false);
+        owners.fill(2, 2, false);
+        assert_eq!((owners.occupancy(1), owners.occupancy(2)), (2, 1));
+        // Tenant 2 displaces tenant 1's line in frame 0.
+        owners.fill(0, 2, true);
+        assert_eq!((owners.occupancy(1), owners.occupancy(2)), (1, 2));
+        assert_eq!(owners.owner(0), 2);
+        owners.release(1);
+        assert_eq!(owners.occupancy(1), 0);
+        owners.clear();
+        assert!((0..=u8::MAX).all(|t| owners.occupancy(t) == 0));
     }
 }

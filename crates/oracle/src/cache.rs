@@ -18,6 +18,13 @@
 //! specification of *where* things land — while the install decision
 //! procedure (tag conflict → quota eviction → global eviction, one draw
 //! max) is re-implemented and must draw identically.
+//!
+//! [`SpecMetadataCache`] also restates per-tenant attribution by its
+//! original definition (a global-stats snapshot and delta per call, and a
+//! key → owner map for occupancy), against which production's direct
+//! booking and per-frame owner column are diffed.
+
+use std::collections::BTreeMap;
 
 use maps_cache::policy::AnyPolicy;
 use maps_cache::{
@@ -611,11 +618,62 @@ enum SpecBackend {
     Rand(SpecRandomizedCache),
 }
 
+/// Element-wise `now - before` over the raw stats buckets.
+fn stats_delta(now: &CacheStats, before: &CacheStats) -> CacheStats {
+    let mut out = *now.buckets();
+    for (o, b) in out.iter_mut().zip(before.buckets()) {
+        o.accesses -= b.accesses;
+        o.hits -= b.hits;
+        o.misses -= b.misses;
+        o.evictions -= b.evictions;
+        o.writebacks -= b.writebacks;
+    }
+    CacheStats::from_buckets(out)
+}
+
+/// Per-tenant attribution by definition: whatever one call changed in the
+/// global stats is the requester's, and a resident line belongs to the
+/// tenant whose call last installed it.
+#[derive(Debug, Default)]
+struct SpecTenantLedger {
+    stats: BTreeMap<u8, CacheStats>,
+    /// Resident key -> the tenant whose call installed it.
+    owner: BTreeMap<u64, u8>,
+}
+
+impl SpecTenantLedger {
+    /// Books one call: the stats delta `before -> now` to `tenant`, the
+    /// victim (if any) out of the owner map, and an admitted miss's
+    /// install into it.
+    fn attribute(
+        &mut self,
+        key: u64,
+        tenant: u8,
+        before: &CacheStats,
+        now: &CacheStats,
+        out: &SpecMdOutcome,
+    ) {
+        self.stats
+            .entry(tenant)
+            .or_default()
+            .accumulate(&stats_delta(now, before));
+        if let Some(victim) = &out.evicted {
+            self.owner.remove(&victim.key);
+        }
+        if !out.hit && !out.bypassed {
+            self.owner.insert(key, tenant);
+        }
+    }
+
+    fn occupancy(&self, tenant: u8) -> u64 {
+        self.owner.values().filter(|&&t| t == tenant).count() as u64
+    }
+}
+
 /// The naive metadata cache: [`SpecCache`] or [`SpecRandomizedCache`]
 /// plus contents admission, partial writes, the (shared) set-dueling
-/// controller, and the per-tenant way split, restating
-/// `maps_sim::MetadataCache` (minus per-tenant stats attribution, which
-/// the conservation property tests validate instead).
+/// controller, the per-tenant way split, and per-tenant attribution,
+/// restating `maps_sim::MetadataCache`.
 #[derive(Debug)]
 pub struct SpecMetadataCache {
     backend: SpecBackend,
@@ -624,6 +682,7 @@ pub struct SpecMetadataCache {
     dueling: Option<DuelingController>,
     tenant_split: Option<TenantPartition>,
     ways: usize,
+    ledger: SpecTenantLedger,
 }
 
 impl SpecMetadataCache {
@@ -680,6 +739,7 @@ impl SpecMetadataCache {
             dueling,
             tenant_split,
             ways: cfg.ways,
+            ledger: SpecTenantLedger::default(),
         })
     }
 
@@ -696,12 +756,32 @@ impl SpecMetadataCache {
         }
     }
 
-    /// Resets statistics after warm-up.
+    /// Resets statistics after warm-up (line ownership persists).
     pub fn reset_stats(&mut self) {
         match &mut self.backend {
             SpecBackend::Set(c) => c.reset_stats(),
             SpecBackend::Rand(c) => c.reset_stats(),
         }
+        self.ledger.stats.clear();
+    }
+
+    /// Stats attributed to `tenant` since the last reset.
+    pub fn tenant_stats(&self, tenant: u8) -> CacheStats {
+        self.ledger.stats.get(&tenant).copied().unwrap_or_default()
+    }
+
+    /// Resident lines installed by `tenant`'s calls.
+    pub fn tenant_occupancy(&self, tenant: u8) -> u64 {
+        self.ledger.occupancy(tenant)
+    }
+
+    /// Tenants with attributed accesses or resident lines, ascending.
+    pub fn tenants(&self) -> Vec<u8> {
+        (0..=u8::MAX)
+            .filter(|&t| {
+                self.tenant_stats(t).total().accesses != 0 || self.tenant_occupancy(t) != 0
+            })
+            .collect()
     }
 
     fn probe_backend(&mut self, key: u64, kind: BlockKind) -> bool {
@@ -714,6 +794,35 @@ impl SpecMetadataCache {
     /// Accesses a metadata block as `tenant`; non-admitted kinds probe
     /// only.
     pub fn access(
+        &mut self,
+        key: u64,
+        kind: BlockKind,
+        write: bool,
+        tenant: TenantId,
+    ) -> SpecMdOutcome {
+        let before = *self.stats();
+        let out = self.access_unattributed(key, kind, write, tenant);
+        let now = *self.stats();
+        self.ledger.attribute(key, tenant.0, &before, &now, &out);
+        out
+    }
+
+    /// Write of a single 8 B sub-entry as `tenant`.
+    pub fn write_partial(
+        &mut self,
+        key: u64,
+        kind: BlockKind,
+        slot: u8,
+        tenant: TenantId,
+    ) -> SpecMdOutcome {
+        let before = *self.stats();
+        let out = self.write_partial_unattributed(key, kind, slot, tenant);
+        let now = *self.stats();
+        self.ledger.attribute(key, tenant.0, &before, &now, &out);
+        out
+    }
+
+    fn access_unattributed(
         &mut self,
         key: u64,
         kind: BlockKind,
@@ -755,8 +864,7 @@ impl SpecMetadataCache {
         }
     }
 
-    /// Write of a single 8 B sub-entry as `tenant`.
-    pub fn write_partial(
+    fn write_partial_unattributed(
         &mut self,
         key: u64,
         kind: BlockKind,
@@ -783,7 +891,7 @@ impl SpecMetadataCache {
             };
         }
         if !self.partial_writes {
-            return self.access(key, kind, true, tenant);
+            return self.access_unattributed(key, kind, true, tenant);
         }
         let evicted = match &mut self.backend {
             SpecBackend::Set(cache) => {
@@ -837,8 +945,9 @@ impl SpecMetadataCache {
         }
     }
 
-    /// Drains all resident lines.
+    /// Drains all resident lines (no tenant owns anything afterwards).
     pub fn drain(&mut self) -> Vec<Line> {
+        self.ledger.owner.clear();
         match &mut self.backend {
             SpecBackend::Set(c) => c.drain(),
             SpecBackend::Rand(c) => c.drain(),

@@ -10,7 +10,13 @@
 //! misses, DRAM traffic, tree walks, overflows, stalls, cascade depth),
 //! and a running digest of the BMT write stream (the "root evolution"
 //! witness); cache contents are compared line-for-line — timestamps
-//! included — at a fixed cadence and at the end, after a final flush.
+//! included — and per-tenant attribution row-for-row (booked stats and
+//! occupancy) at a fixed cadence and at the end, after a final flush.
+//!
+//! [`check_attribution`] diffs attribution alone on a bare metadata cache
+//! driven call by call with a seeded multi-tenant stream, including the
+//! bypass probes, placeholder inserts, and quota evictions the engine
+//! reaches only occasionally.
 //!
 //! On divergence, [`check_case`] shrinks the trace with a delta-debugging
 //! loop ([`minimize`]) and dumps a self-contained `.trace` artifact under
@@ -20,15 +26,16 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use maps_cache::{Line, Partition, TenantPartition};
+use maps_cache::{CacheStats, Line, Partition, TenantPartition};
 use maps_sim::{
-    CacheContents, MdcConfig, MdcDesign, PartitionMode, PolicyChoice, RecordingObserver, SecureSim,
-    SimConfig,
+    CacheContents, MdcConfig, MdcDesign, MetadataCache, PartitionMode, PolicyChoice,
+    RecordingObserver, SecureSim, SimConfig,
 };
 use maps_trace::rng::SmallRng;
 use maps_trace::{AccessKind, BlockKind, MemAccess, MetaAccess, PhysAddr, TenantId, BLOCK_BYTES};
 use maps_workloads::Workload;
 
+use crate::cache::SpecMetadataCache;
 use crate::hierarchy::OracleSim;
 
 /// One core-level memory operation on a data block index.
@@ -310,6 +317,38 @@ fn compare_residents<W: Workload>(
     Ok(())
 }
 
+/// One tenant's attribution: id, booked stats, resident lines owned.
+type TenantRow = (u8, CacheStats, u64);
+
+fn production_rows(mdc: &MetadataCache) -> Vec<TenantRow> {
+    mdc.tenants()
+        .map(|t| (t, *mdc.tenant_stats().stats(t), mdc.tenant_occupancy(t)))
+        .collect()
+}
+
+fn oracle_rows(mdc: &SpecMetadataCache) -> Vec<TenantRow> {
+    mdc.tenants()
+        .into_iter()
+        .map(|t| (t, mdc.tenant_stats(t), mdc.tenant_occupancy(t)))
+        .collect()
+}
+
+fn compare_tenants<W: Workload>(
+    step: usize,
+    prod: &SecureSim<W>,
+    orac: &OracleSim<W>,
+) -> Result<(), DiffError> {
+    let p = prod.engine().and_then(|e| e.mdc()).map(production_rows);
+    let o = orac.engine().and_then(|e| e.mdc()).map(oracle_rows);
+    if p != o {
+        return Err(DiffError {
+            step,
+            what: format!("per-tenant attribution diverges: production {p:?} vs oracle {o:?}"),
+        });
+    }
+    Ok(())
+}
+
 /// Replays `case` through both simulators in lockstep.
 ///
 /// # Errors
@@ -384,17 +423,20 @@ pub fn run_lockstep(case: &DiffCase) -> Result<(), DiffError> {
         }
         if step % RESIDENT_CHECK_PERIOD == RESIDENT_CHECK_PERIOD - 1 {
             compare_residents(step, &prod, &orac)?;
+            compare_tenants(step, &prod, &orac)?;
         }
     }
 
     // End of run: final contents, flush streams, and counter agreement.
     let end = case.ops.len();
     compare_residents(end, &prod, &orac)?;
+    compare_tenants(end, &prod, &orac)?;
     let mut rec_prod = RecordingObserver::new();
     let mut rec_orac = RecordingObserver::new();
     prod.flush_observed(&mut rec_prod);
     orac.flush_observed(&mut rec_orac);
     compare_streams(end, &rec_prod.records, &rec_orac.records)?;
+    compare_tenants(end, &prod, &orac)?;
     if let (Some(pe), Some(oe)) = (prod.engine(), orac.engine()) {
         if pe.stats() != oe.stats() {
             return Err(DiffError {
@@ -434,6 +476,112 @@ pub fn run_lockstep(case: &DiffCase) -> Result<(), DiffError> {
                 });
             }
         }
+    }
+    Ok(())
+}
+
+/// Drives a bare production [`MetadataCache`] and the oracle's
+/// [`SpecMetadataCache`] through `calls` seeded calls from `tenants`
+/// interleaved tenants — reads and writes over counters, hashes, and two
+/// tree levels, plus single-slot partial writes and line completions —
+/// and compares every outcome, the global stats, and each tenant's
+/// booked stats and occupancy after every call. Statistics are reset a
+/// third of the way in (ownership must survive the reset), and the run
+/// ends with a drain, after which no tenant may own a line.
+///
+/// # Errors
+///
+/// The first divergence, with the call index as its step.
+///
+/// # Panics
+///
+/// Panics if `cfg` disables the cache or `tenants` is zero.
+pub fn check_attribution(
+    cfg: &MdcConfig,
+    seed: u64,
+    calls: usize,
+    tenants: u8,
+) -> Result<(), DiffError> {
+    assert!(tenants > 0, "at least one tenant");
+    let mut prod = MetadataCache::new(cfg).expect("cache enabled");
+    let mut orac = SpecMetadataCache::new(cfg).expect("cache enabled");
+    let mut rng = SmallRng::seed_from_u64(seed);
+    // Footprint of about three times the capacity, so fills, evictions,
+    // and re-references all occur.
+    let blocks = (cfg.size_bytes / BLOCK_BYTES).max(1) * 3;
+    let diverged = |step: usize, what: String| Err(DiffError { step, what });
+    for step in 0..calls {
+        if step == calls / 3 {
+            prod.reset_stats();
+            orac.reset_stats();
+        }
+        let tenant = TenantId(rng.gen_range(0..u64::from(tenants)) as u8);
+        let sel = rng.gen_range(0..4u64);
+        let kind = match sel {
+            0 => BlockKind::Counter,
+            1 => BlockKind::Hash,
+            2 => BlockKind::Tree(0),
+            _ => BlockKind::Tree(1),
+        };
+        // Disjoint key spaces per kind, like the real metadata layout.
+        let key = rng.gen_range(0..blocks) + sel * (1 << 32);
+        let (p, o) = match rng.gen_range(0..8u64) {
+            0..=3 => (
+                prod.access(key, kind, false, tenant),
+                orac.access(key, kind, false, tenant),
+            ),
+            4 | 5 => (
+                prod.access(key, kind, true, tenant),
+                orac.access(key, kind, true, tenant),
+            ),
+            6 if kind != BlockKind::Counter => {
+                let slot = rng.gen_range(0..8u64) as u8;
+                (
+                    prod.write_partial(key, kind, slot, tenant),
+                    orac.write_partial(key, kind, slot, tenant),
+                )
+            }
+            _ => {
+                prod.complete_line(key);
+                orac.complete_line(key);
+                continue;
+            }
+        };
+        if (p.hit, p.evicted, p.bypassed) != (o.hit, o.evicted, o.bypassed) {
+            return diverged(step, format!("outcome: production {p:?} vs oracle {o:?}"));
+        }
+        if prod.stats() != orac.stats() {
+            return diverged(step, "global stats diverge".into());
+        }
+        for t in 0..tenants {
+            let (ps, pocc) = (*prod.tenant_stats().stats(t), prod.tenant_occupancy(t));
+            let (os, oocc) = (orac.tenant_stats(t), orac.tenant_occupancy(t));
+            if (ps, pocc) != (os, oocc) {
+                return diverged(
+                    step,
+                    format!(
+                        "tenant {t}: production {ps:?} occupancy {pocc} vs oracle {os:?} \
+                         occupancy {oocc}"
+                    ),
+                );
+            }
+        }
+    }
+    let (prod_rows, orac_rows) = (production_rows(&prod), oracle_rows(&orac));
+    if prod_rows != orac_rows {
+        return diverged(
+            calls,
+            format!("tenant rows: production {prod_rows:?} vs oracle {orac_rows:?}"),
+        );
+    }
+    if prod.drain() != orac.drain() {
+        return diverged(calls, "drained lines diverge".into());
+    }
+    if let Some(t) = (0..=u8::MAX).find(|&t| prod.tenant_occupancy(t) != 0) {
+        return diverged(calls, format!("tenant {t} still owns lines after drain"));
+    }
+    if production_rows(&prod) != oracle_rows(&orac) {
+        return diverged(calls, "tenant rows diverge after drain".into());
     }
     Ok(())
 }

@@ -4,13 +4,18 @@
 //! set-associative cache and a MIRAGE-style fully-associative randomized
 //! cache ([`MdcDesign`]). Every policy knob, the differential oracle, and
 //! the fault campaigns drive both through the same entry points; accesses
-//! carry the requesting [`TenantId`] so per-tenant statistics and
-//! occupancy are attributed by stats delta (they sum to the global
-//! counters for any interleaving, by construction).
+//! carry the requesting [`TenantId`]. Each call books its one access (and
+//! its victim's eviction, if any) straight onto the requester's stats row,
+//! exactly as the backend books them globally, so per-tenant statistics
+//! sum to the global counters for any interleaving. Occupancy comes from
+//! a per-frame owner column ([`FrameOwners`]) updated on fill, eviction,
+//! and drain: the randomized backend keeps its own (its frame quota reads
+//! it), and the set-associative backend keeps one beside the cache,
+//! indexed by the frame each fill reports.
 
 use maps_cache::policy::AnyPolicy;
 use maps_cache::{
-    CacheConfig, CacheStats, DuelingController, Line, RandomizedCache, SetAssocCache,
+    CacheConfig, CacheStats, DuelingController, FrameOwners, Line, RandomizedCache, SetAssocCache,
     TenantPartition, TenantStatsTable,
 };
 use maps_trace::{BlockKind, TenantId};
@@ -29,11 +34,15 @@ pub struct MdOutcome {
     pub bypassed: bool,
 }
 
-/// The pluggable cache core behind the metadata-cache interface.
+/// The pluggable cache core behind the metadata-cache interface. One
+/// backend exists per cache, so boxing the larger variant would only add
+/// an indirection to every access.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum Backend {
-    /// Set-associative (the paper's design).
-    Set(SetAssocCache<AnyPolicy>),
+    /// Set-associative (the paper's design), with the owning tenant of
+    /// each of its frames.
+    Set(SetAssocCache<AnyPolicy>, FrameOwners),
     /// Fully-associative randomized (MIRAGE-style).
     Rand(RandomizedCache),
 }
@@ -113,7 +122,7 @@ impl MetadataCache {
                         );
                     }
                 }
-                Backend::Set(cache)
+                Backend::Set(cache, FrameOwners::new(geometry.blocks()))
             }
             MdcDesign::Randomized { seed } => {
                 let mut cache = RandomizedCache::new(cfg.size_bytes, cfg.ways, seed);
@@ -147,23 +156,38 @@ impl MetadataCache {
     /// Accumulated statistics (bypassed kinds are counted as misses).
     pub fn stats(&self) -> &CacheStats {
         match &self.backend {
-            Backend::Set(c) => c.stats(),
+            Backend::Set(c, _) => c.stats(),
             Backend::Rand(c) => c.stats(),
         }
     }
 
-    /// Per-tenant statistics and occupancy. Attribution is requester-pays
-    /// by stats delta, so for any interleaving the per-tenant counters
-    /// sum to [`MetadataCache::stats`] over the same interval.
+    /// Per-tenant statistics, booked requester-pays: for any interleaving
+    /// the rows sum to [`MetadataCache::stats`] over the same interval.
     pub fn tenant_stats(&self) -> &TenantStatsTable {
         &self.tenants
     }
 
-    /// Resets statistics after warm-up (the per-tenant occupancy ledger
-    /// persists with the cache contents).
+    /// Resident lines last filled on behalf of `tenant`.
+    pub fn tenant_occupancy(&self, tenant: u8) -> u64 {
+        match &self.backend {
+            Backend::Set(_, owners) => owners.occupancy(tenant),
+            Backend::Rand(c) => c.tenant_occupancy(tenant),
+        }
+    }
+
+    /// Tenant ids that have booked an access since the last stats reset
+    /// or own a resident line, in ascending order.
+    pub fn tenants(&self) -> impl Iterator<Item = u8> + '_ {
+        (0..=u8::MAX).filter(move |&t| {
+            self.tenants.stats(t).total().accesses != 0 || self.tenant_occupancy(t) != 0
+        })
+    }
+
+    /// Resets statistics after warm-up (per-tenant occupancy persists with
+    /// the cache contents).
     pub fn reset_stats(&mut self) {
         match &mut self.backend {
-            Backend::Set(c) => c.reset_stats(),
+            Backend::Set(c, _) => c.reset_stats(),
             Backend::Rand(c) => c.reset_stats(),
         }
         self.tenants.reset_stats();
@@ -179,9 +203,9 @@ impl MetadataCache {
         write: bool,
         tenant: TenantId,
     ) -> MdOutcome {
-        let before = *self.stats();
         let out = self.access_inner(key, kind, write, tenant);
-        self.attribute(key, tenant, &before, &out);
+        self.tenants
+            .book(tenant.0, kind, out.hit, out.evicted.as_ref());
         out
     }
 
@@ -202,25 +226,10 @@ impl MetadataCache {
         slot: u8,
         tenant: TenantId,
     ) -> MdOutcome {
-        let before = *self.stats();
         let out = self.write_partial_inner(key, kind, slot, tenant);
-        self.attribute(key, tenant, &before, &out);
+        self.tenants
+            .book(tenant.0, kind, out.hit, out.evicted.as_ref());
         out
-    }
-
-    /// Books one access's global-stats delta, fill, and eviction to the
-    /// requesting tenant.
-    fn attribute(&mut self, key: u64, tenant: TenantId, before: &CacheStats, out: &MdOutcome) {
-        let delta = self.stats().delta_since(before);
-        self.tenants.add_delta(tenant.0, &delta);
-        if let Some(victim) = &out.evicted {
-            self.tenants.note_evict(victim.key);
-        }
-        if !out.hit && !out.bypassed {
-            // Admitted misses always install (complete line or
-            // placeholder) in both backends.
-            self.tenants.note_fill(key, tenant.0);
-        }
     }
 
     fn access_inner(
@@ -240,7 +249,7 @@ impl MetadataCache {
         } = self;
         if !contents.admits(kind) {
             let hit = match backend {
-                Backend::Set(c) => c.probe(key, kind),
+                Backend::Set(c, _) => c.probe(key, kind),
                 Backend::Rand(c) => c.probe(key, kind),
             };
             return MdOutcome {
@@ -250,8 +259,8 @@ impl MetadataCache {
             };
         }
         let r = match backend {
-            Backend::Set(cache) => {
-                if let Some(split) = tenant_split {
+            Backend::Set(cache, owners) => {
+                let r = if let Some(split) = tenant_split {
                     cache.access_in_ways(key, kind, write, split.ways_for(tenant.0, *ways))
                 } else if dueling.is_some() {
                     let set = cache.config().set_of(key);
@@ -265,7 +274,11 @@ impl MetadataCache {
                     r
                 } else {
                     cache.access_with(key, kind, write, None)
+                };
+                if !r.hit {
+                    owners.fill(r.frame, tenant.0, r.evicted.is_some());
                 }
+                r
             }
             Backend::Rand(cache) => cache.access(key, kind, write, tenant.0),
         };
@@ -285,7 +298,7 @@ impl MetadataCache {
     ) -> MdOutcome {
         if !self.contents.admits(kind) {
             let hit = match &mut self.backend {
-                Backend::Set(c) => c.probe(key, kind),
+                Backend::Set(c, _) => c.probe(key, kind),
                 Backend::Rand(c) => c.probe(key, kind),
             };
             return MdOutcome {
@@ -295,7 +308,7 @@ impl MetadataCache {
             };
         }
         let resident = match &mut self.backend {
-            Backend::Set(c) => c.access_mark_valid(key, kind, slot).is_some(),
+            Backend::Set(c, _) => c.access_mark_valid(key, kind, slot).is_some(),
             Backend::Rand(c) => c.access_mark_valid(key, kind, slot).is_some(),
         };
         if resident {
@@ -318,14 +331,14 @@ impl MetadataCache {
         } = self;
         // Record the miss in both cache stats and the dueling selector.
         let evicted = match backend {
-            Backend::Set(cache) => {
+            Backend::Set(cache, owners) => {
                 let set = cache.config().set_of(key);
                 let partition = dueling.as_ref().map(|d| d.partition_for(set));
                 cache.probe(key, kind);
                 if let Some(d) = dueling {
                     d.record_miss(set);
                 }
-                if let Some(split) = tenant_split {
+                let r = if let Some(split) = tenant_split {
                     cache.insert_placeholder_in_ways(
                         key,
                         kind,
@@ -334,11 +347,13 @@ impl MetadataCache {
                     )
                 } else {
                     cache.insert_placeholder(key, kind, slot, partition.as_ref())
-                }
+                };
+                owners.fill(r.frame, tenant.0, r.evicted.is_some());
+                r.evicted
             }
             Backend::Rand(cache) => {
                 cache.probe(key, kind);
-                cache.insert_placeholder(key, kind, slot, tenant.0)
+                cache.insert_placeholder(key, kind, slot, tenant.0).evicted
             }
         };
         MdOutcome {
@@ -351,7 +366,7 @@ impl MetadataCache {
     /// Whether `key` is resident.
     pub fn contains(&self, key: u64) -> bool {
         match &self.backend {
-            Backend::Set(c) => c.contains(key),
+            Backend::Set(c, _) => c.contains(key),
             Backend::Rand(c) => c.contains(key),
         }
     }
@@ -359,7 +374,7 @@ impl MetadataCache {
     /// Valid mask of a resident line, if any.
     pub fn valid_mask(&self, key: u64) -> Option<u8> {
         match &self.backend {
-            Backend::Set(c) => c.line(key).map(|l| l.valid_mask),
+            Backend::Set(c, _) => c.line(key).map(|l| l.valid_mask),
             Backend::Rand(c) => c.line(key).map(|l| l.valid_mask),
         }
     }
@@ -368,7 +383,7 @@ impl MetadataCache {
     pub fn complete_line(&mut self, key: u64) {
         for slot in 0..8 {
             let marked = match &mut self.backend {
-                Backend::Set(c) => c.mark_valid(key, slot),
+                Backend::Set(c, _) => c.mark_valid(key, slot),
                 Backend::Rand(c) => c.mark_valid(key, slot),
             };
             if marked.is_none() {
@@ -378,16 +393,15 @@ impl MetadataCache {
     }
 
     /// Drains all resident lines (end-of-run writeback accounting),
-    /// clearing the per-tenant occupancy ledger.
+    /// leaving every tenant's occupancy at zero.
     pub fn drain(&mut self) -> Vec<Line> {
-        let lines = match &mut self.backend {
-            Backend::Set(c) => c.drain(),
+        match &mut self.backend {
+            Backend::Set(c, owners) => {
+                owners.clear();
+                c.drain()
+            }
             Backend::Rand(c) => c.drain(),
-        };
-        for line in &lines {
-            self.tenants.note_evict(line.key);
         }
-        lines
     }
 
     /// Iterates over resident lines (for contents inspection, e.g. the
@@ -395,7 +409,7 @@ impl MetadataCache {
     /// from the backend's column store.
     pub fn resident_lines(&self) -> Box<dyn Iterator<Item = Line> + '_> {
         match &self.backend {
-            Backend::Set(c) => Box::new(c.resident_lines()),
+            Backend::Set(c, _) => Box::new(c.resident_lines()),
             Backend::Rand(c) => Box::new(c.resident_lines()),
         }
     }
@@ -406,7 +420,7 @@ impl MetadataCache {
     /// are not worth the hash arithmetic to predict.
     #[inline]
     pub fn prefetch(&self, key: u64) {
-        if let Backend::Set(c) = &self.backend {
+        if let Backend::Set(c, _) = &self.backend {
             c.prefetch_set(key);
         }
     }
@@ -414,7 +428,7 @@ impl MetadataCache {
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
         match &self.backend {
-            Backend::Set(c) => c.occupancy(),
+            Backend::Set(c, _) => c.occupancy(),
             Backend::Rand(c) => c.occupancy(),
         }
     }
@@ -422,7 +436,7 @@ impl MetadataCache {
     /// The inner cache's access counter (policy time base).
     pub fn time(&self) -> u64 {
         match &self.backend {
-            Backend::Set(c) => c.time(),
+            Backend::Set(c, _) => c.time(),
             Backend::Rand(c) => c.time(),
         }
     }
@@ -534,13 +548,13 @@ mod tests {
             mdc.access(i * sets as u64, BlockKind::Counter, false, TenantId(1));
         }
         assert_eq!(mdc.occupancy(), 4);
-        assert_eq!(mdc.tenant_stats().occupancy(1), 4);
-        assert_eq!(mdc.tenant_stats().occupancy(2), 0);
+        assert_eq!(mdc.tenant_occupancy(1), 4);
+        assert_eq!(mdc.tenant_occupancy(2), 0);
         // The other tenant still fills its own share of the same set.
         for i in 0..32u64 {
             mdc.access(1 + i * sets as u64, BlockKind::Counter, false, TenantId(2));
         }
-        assert_eq!(mdc.tenant_stats().occupancy(2), 4);
+        assert_eq!(mdc.tenant_occupancy(2), 4);
     }
 
     #[test]
@@ -572,12 +586,107 @@ mod tests {
         }
         let combined = mdc.tenant_stats().combined();
         assert_eq!(combined, *mdc.stats());
-        let occ: u64 = (0u8..2).map(|t| mdc.tenant_stats().occupancy(t)).sum();
+        let occ: u64 = (0u8..2).map(|t| mdc.tenant_occupancy(t)).sum();
         assert_eq!(occ, mdc.occupancy() as u64);
         // Drain clears the ledger.
         mdc.drain();
-        assert_eq!(mdc.tenant_stats().occupancy(0), 0);
-        assert_eq!(mdc.tenant_stats().occupancy(1), 0);
+        assert_eq!(mdc.tenant_occupancy(0), 0);
+        assert_eq!(mdc.tenant_occupancy(1), 0);
+    }
+
+    /// Σ per-tenant occupancy over every tenant id.
+    fn booked_occupancy(mdc: &MetadataCache) -> u64 {
+        (0..=u8::MAX).map(|t| mdc.tenant_occupancy(t)).sum()
+    }
+
+    #[test]
+    fn set_assoc_ownership_follows_fills_placeholders_and_evictions() {
+        let mut c = cfg(); // 8 sets x 8 ways
+        c.policy = PolicyChoice::TrueLru;
+        c.partial_writes = true;
+        let mut mdc = MetadataCache::new(&c).unwrap();
+        let sets = 8u64;
+        // Tenant 1 fills set 0 completely.
+        for i in 0..8u64 {
+            mdc.access(i * sets, BlockKind::Counter, false, TenantId(1));
+        }
+        assert_eq!(mdc.tenant_occupancy(1), 8);
+        // A placeholder insert by tenant 2 evicts tenant 1's LRU line.
+        let out = mdc.write_partial(8 * sets, BlockKind::Hash, 2, TenantId(2));
+        assert_eq!(out.evicted.map(|l| l.key), Some(0));
+        assert_eq!((mdc.tenant_occupancy(1), mdc.tenant_occupancy(2)), (7, 1));
+        // Hits (full or partial) never move ownership.
+        mdc.access(8, BlockKind::Counter, true, TenantId(2));
+        mdc.write_partial(8 * sets, BlockKind::Hash, 3, TenantId(1));
+        assert_eq!((mdc.tenant_occupancy(1), mdc.tenant_occupancy(2)), (7, 1));
+        // Tenant 2 takes over the rest of the set, one eviction at a time.
+        for i in 9..20u64 {
+            mdc.access(i * sets, BlockKind::Counter, false, TenantId(2));
+        }
+        assert_eq!((mdc.tenant_occupancy(1), mdc.tenant_occupancy(2)), (0, 8));
+        // Fills into empty frames of other sets.
+        mdc.access(1, BlockKind::Tree(0), false, TenantId(3));
+        assert_eq!(booked_occupancy(&mdc), mdc.occupancy() as u64);
+        assert_eq!(mdc.occupancy(), 9);
+        mdc.drain();
+        assert_eq!(booked_occupancy(&mdc), 0);
+        // Ownership restarts cleanly after a drain.
+        mdc.access(5, BlockKind::Counter, false, TenantId(1));
+        assert_eq!(mdc.tenant_occupancy(1), 1);
+        assert_eq!(booked_occupancy(&mdc), 1);
+    }
+
+    #[test]
+    fn randomized_ownership_follows_quota_evictions_and_drain() {
+        let mut c = cfg(); // 64 frames
+        c.design = MdcDesign::Randomized { seed: 11 };
+        c.partition = PartitionMode::PerTenant { tenants: 2 };
+        c.partial_writes = true;
+        let mut mdc = MetadataCache::new(&c).unwrap();
+        // Tenant 0 overruns its 32-frame quota: its own lines are evicted.
+        for i in 0..100u64 {
+            mdc.access(i, BlockKind::Counter, false, TenantId(0));
+        }
+        assert_eq!(mdc.tenant_occupancy(0), 32);
+        // Tenant 1's placeholders take the free frames, then its own
+        // quota binds.
+        for i in 0..40u64 {
+            mdc.write_partial(1_000 + i, BlockKind::Hash, (i % 8) as u8, TenantId(1));
+        }
+        assert!(mdc.tenant_occupancy(1) <= 32);
+        assert_eq!(booked_occupancy(&mdc), mdc.occupancy() as u64);
+        let resident = mdc.occupancy();
+        assert_eq!(mdc.drain().len(), resident);
+        assert_eq!(booked_occupancy(&mdc), 0);
+        assert_eq!(mdc.occupancy(), 0);
+    }
+
+    #[test]
+    fn single_tenant_row_equals_global_stats() {
+        for design in [MdcDesign::SetAssoc, MdcDesign::Randomized { seed: 5 }] {
+            for partial_writes in [false, true] {
+                let mut c = cfg().with_contents(CacheContents::COUNTERS_AND_HASHES);
+                c.design = design;
+                c.partial_writes = partial_writes;
+                let mut mdc = MetadataCache::new(&c).unwrap();
+                for i in 0..2_000u64 {
+                    let key = (i * 7919) % 300;
+                    match i % 4 {
+                        0 => mdc.access(key, BlockKind::Counter, i % 3 == 0, T0),
+                        1 => mdc.write_partial(key + 1000, BlockKind::Hash, (i % 8) as u8, T0),
+                        2 => mdc.access(key + 1000, BlockKind::Hash, false, T0),
+                        // Tree nodes are not admitted: bypass probes.
+                        _ => mdc.access(key + 2000, BlockKind::Tree(0), false, T0),
+                    };
+                    if i == 500 {
+                        mdc.reset_stats();
+                    }
+                }
+                assert_eq!(mdc.tenant_stats().stats(0), mdc.stats());
+                assert_eq!(mdc.tenants().collect::<Vec<_>>(), vec![0]);
+                assert_eq!(mdc.tenant_occupancy(0), mdc.occupancy() as u64);
+            }
+        }
     }
 
     #[test]
@@ -589,10 +698,10 @@ mod tests {
         for i in 0..500u64 {
             mdc.access(i, BlockKind::Counter, false, TenantId(0));
         }
-        assert!(mdc.tenant_stats().occupancy(0) <= 32);
+        assert!(mdc.tenant_occupancy(0) <= 32);
         for i in 10_000..10_500u64 {
             mdc.access(i, BlockKind::Counter, false, TenantId(1));
         }
-        assert!(mdc.tenant_stats().occupancy(1) >= 30);
+        assert!(mdc.tenant_occupancy(1) >= 30);
     }
 }

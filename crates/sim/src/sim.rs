@@ -52,18 +52,16 @@ pub(crate) fn build_report(
     }
 
     // Per-tenant breakdown: one row per tenant that touched the metadata
-    // cache, ascending by id (the table iterates in id order, so capture
+    // cache, ascending by id (tenants iterate in id order, so capture
     // and direct paths serialize identical rows).
     let tenants = engine
         .and_then(MetadataEngine::mdc)
         .map(|mdc| {
-            let table = mdc.tenant_stats();
-            table
-                .tenants()
+            mdc.tenants()
                 .map(|t| crate::TenantMdcStats {
                     tenant: t,
-                    meta: table.stats(t),
-                    occupancy: table.occupancy(t),
+                    meta: *mdc.tenant_stats().stats(t),
+                    occupancy: mdc.tenant_occupancy(t),
                 })
                 .collect()
         })

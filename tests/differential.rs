@@ -17,7 +17,8 @@
 
 use maps_cache::Partition;
 use maps_oracle::diff::{
-    check_case, failures_dir, ops_from_workload, random_ops, replay_artifact, scaled_len, DiffCase,
+    check_attribution, check_case, failures_dir, ops_from_workload, random_ops, replay_artifact,
+    scaled_len, DiffCase,
 };
 use maps_secure::CounterMode;
 use maps_sim::{
@@ -276,6 +277,48 @@ fn multi_tenant_shared_and_partitioned() {
         random_ops(0x7E3, 2048, n, 40),
         7,
     );
+}
+
+#[test]
+fn tenant_attribution_matches_naive_ledger() {
+    // Production books each call's access and eviction directly on the
+    // requester and reads occupancy from per-frame owners; the oracle
+    // snapshots global stats around every call and keeps a key -> owner
+    // map. Both designs x every partition mode x partial writes, with a
+    // counters-only variant so bypass probes are booked too.
+    let calls = scaled_len(1500);
+    let partitions = [
+        PartitionMode::None,
+        PartitionMode::Static(Partition::counter_ways(3)),
+        PartitionMode::Dynamic {
+            a: Partition::counter_ways(2),
+            b: Partition::counter_ways(6),
+            leaders_per_side: 1,
+        },
+        PartitionMode::PerTenant { tenants: 3 },
+    ];
+    let mut seed = 0xA771_B000u64;
+    for design in [MdcDesign::SetAssoc, MdcDesign::Randomized { seed: 0x0A7 }] {
+        for partition in partitions {
+            for partial_writes in [false, true] {
+                for contents in [CacheContents::ALL, CacheContents::COUNTERS_ONLY] {
+                    seed += 1;
+                    let mut cfg = MdcConfig::paper_default()
+                        .with_size(4096)
+                        .with_design(design)
+                        .with_partition(partition);
+                    cfg.partial_writes = partial_writes;
+                    cfg.contents = contents;
+                    if let Err(e) = check_attribution(&cfg, seed, calls, 3) {
+                        panic!(
+                            "{design:?} {partition:?} partial={partial_writes} \
+                             {contents:?} seed {seed:#x}: {e}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -105,14 +105,13 @@ proptest! {
             }
         }
 
-        let table = mdc.tenant_stats();
         prop_assert_eq!(
-            table.combined(),
+            mdc.tenant_stats().combined(),
             *mdc.stats(),
             "per-tenant stats must sum to the global counters"
         );
         let resident = mdc.resident_lines().count() as u64;
-        let booked: u64 = table.tenants().map(|t| table.occupancy(t)).sum();
+        let booked: u64 = mdc.tenants().map(|t| mdc.tenant_occupancy(t)).sum();
         prop_assert_eq!(booked, resident, "occupancy ledger must cover every resident line");
         prop_assert_eq!(mdc.occupancy() as u64, resident);
     }
