@@ -1,12 +1,10 @@
-//! Criterion bench for the replay hot path: ns/event for the scalar
-//! reference loop vs the batched SoA engine, on the four captures the
-//! repository benchmark reports as `replay.ns_per_event.*` (canneal,
-//! gups, mcf, libquantum at the paper-default 64 KB metadata cache).
+//! Criterion bench for the replay hot path: ns/event of `ReplaySim::run`
+//! on the four captures the repository benchmark reports as
+//! `replay.ns_per_event.*` (canneal, gups, mcf, libquantum at the
+//! paper-default 64 KB metadata cache).
 //!
 //! With `Throughput::Elements(total_events)` criterion reports per-event
-//! time directly; the batched/scalar ratio is the headline number of the
-//! struct-of-arrays engine work. Recorded measurements come from the
-//! benchmark itself:
+//! time directly. Recorded measurements come from the benchmark itself:
 //! `python3 perfbench/run.py --workload fig2_sweep --seed 1296126035 --seconds 25 --trace 1`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -27,10 +25,7 @@ fn bench_replay_ns(c: &mut Criterion) {
         let mut group = c.benchmark_group(format!("replay_ns/{}", bench.name()));
         group.throughput(Throughput::Elements(trace.total_events()));
         group.sample_size(10);
-        group.bench_function("scalar", |b| {
-            b.iter(|| ReplaySim::new(cfg.clone(), &trace).run_scalar().cycles);
-        });
-        group.bench_function("batched", |b| {
+        group.bench_function("replay", |b| {
             b.iter(|| ReplaySim::new(cfg.clone(), &trace).run().cycles);
         });
         group.finish();

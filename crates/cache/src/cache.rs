@@ -156,25 +156,6 @@ impl<P: Policy> SetAssocCache<P> {
         Some(self.line_at(set * self.cfg.ways() + way))
     }
 
-    /// Prefetches the tag and timestamp rows of `key`'s set into the host
-    /// cache. Purely a performance hint for the batched replay path; has no
-    /// architectural effect on the simulation.
-    #[inline]
-    pub fn prefetch_set(&self, key: u64) {
-        let base = self.cfg.set_of(key) * self.cfg.ways();
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: both pointers are derived from in-bounds indices of live
-        // allocations, and `_mm_prefetch` is architecturally a hint that
-        // cannot fault or observably change state even on a bad address.
-        unsafe {
-            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(self.tags.as_ptr().add(base).cast::<i8>(), _MM_HINT_T0);
-            _mm_prefetch(self.stamps.as_ptr().add(base).cast::<i8>(), _MM_HINT_T0);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = base;
-    }
-
     /// Accesses `key`, allocating on miss; uses the static partition.
     #[inline]
     pub fn access(&mut self, key: u64, kind: BlockKind, write: bool) -> AccessResult {

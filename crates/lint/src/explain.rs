@@ -66,7 +66,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "PERF-001" => {
             "PERF-001: observer trait impl methods must be #[inline].\n\
              \n\
-             MetricSink/MetaObserver/BatchPrefetcher callbacks run per event\n\
+             MetricSink/MetaObserver callbacks run per metadata access\n\
              inside the replay loop, usually behind generics the optimizer can\n\
              only flatten when the impl is marked #[inline] across crate\n\
              boundaries (without it, no cross-crate inlining outside LTO\n\
@@ -105,13 +105,14 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "PANIC-002" => {
             "PANIC-002: no panic site reachable from the hot-path roots.\n\
              \n\
-             The batched replay kernel (MetadataEngine::handle_batch_with),\n\
-             both MDC backends' lookup paths (SetAssocCache::scan_set,\n\
-             RandomizedCache::access), and every Policy callback drive\n\
-             billions of events per sweep; a panic!/assert!/unwrap/expect or\n\
-             literal slice index anywhere they can reach turns a malformed\n\
-             trace into an aborted campaign. Unlike PANIC-001's file list,\n\
-             this rule follows the call graph and prints the offending chain.\n\
+             The engine's per-event entries (MetadataEngine::\n\
+             handle_read_from / handle_write_from), both MDC backends'\n\
+             lookup paths (SetAssocCache::scan_set, RandomizedCache::access),\n\
+             and every Policy callback drive billions of events per sweep;\n\
+             a panic!/assert!/unwrap/expect or literal slice index anywhere\n\
+             they can reach turns a malformed trace into an aborted\n\
+             campaign. Unlike PANIC-001's file list, this rule follows the\n\
+             call graph and prints the offending chain.\n\
              \n\
              example (flagged):\n\
                  fn choose_victim(…) { candidates[0] }   // literal index\n\
@@ -120,7 +121,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              real failure modes.\n"
         }
         "ALLOC-001" => {
-            "ALLOC-001: no heap allocation reachable from the batch kernel.\n\
+            "ALLOC-001: no heap allocation reachable from the engine entries.\n\
              \n\
              The struct-of-arrays rewrite bought the ns/event budget by\n\
              keeping the replay loop allocation-free; one vec!/format!/\n\
@@ -128,8 +129,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              Box::new, vec!, format!, .to_string/.to_owned/.to_vec,\n\
              .collect(), and .push() on a Vec conjured in the same body.\n\
              Constructors are fine — only code reachable from\n\
-             MetadataEngine::handle_batch_with is scanned, and the oracle\n\
-             (naive by contract) is exempt.\n\
+             MetadataEngine::handle_read_from/handle_write_from is scanned,\n\
+             and the oracle (naive by contract) is exempt.\n\
              \n\
              example (flagged, in a policy's rebuild()):\n\
                  let mut scratch = vec![0.0; BUCKETS];\n\

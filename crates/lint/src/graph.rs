@@ -3,7 +3,7 @@
 //! | Rule       | Invariant                                                        |
 //! |------------|------------------------------------------------------------------|
 //! | PANIC-002  | No panic site reachable from the hot-path roots                  |
-//! | ALLOC-001  | No heap allocation reachable from the batch kernel               |
+//! | ALLOC-001  | No heap allocation reachable from the per-event engine entries   |
 //! | DET-003    | No ambient time/randomness laundered through exempt-crate helpers|
 //! | SCHEMA-001 | Codec key sets cover every watched struct field (no drift)       |
 //!
@@ -27,13 +27,15 @@ use crate::items::{CallKind, FileModel, FnItem, SinkKind};
 use crate::rules::{RawDiag, CLOCK_EXEMPT_CRATES};
 use crate::Diagnostic;
 
-/// Hot-path roots for PANIC-002: the batched replay kernel, both MDC
-/// backends' lookup paths, (via [`POLICY_TRAIT`]) every replacement
+/// Hot-path roots for PANIC-002: the engine's per-event entry points
+/// (every replay, direct run and oracle lockstep goes through them), both
+/// MDC backends' lookup paths, (via [`POLICY_TRAIT`]) every replacement
 /// policy callback, and the daemon's two always-on loops — the frame
 /// decoder fed by untrusted peers and the worker supervisor that must
 /// survive every crash it is supervising.
-const PANIC_ROOTS: [(&str, &str); 5] = [
-    ("MetadataEngine", "handle_batch_with"),
+const PANIC_ROOTS: [(&str, &str); 6] = [
+    ("MetadataEngine", "handle_read_from"),
+    ("MetadataEngine", "handle_write_from"),
     ("SetAssocCache", "scan_set"),
     ("RandomizedCache", "access"),
     ("FrameReader", "next_frame"),
@@ -44,9 +46,12 @@ const PANIC_ROOTS: [(&str, &str); 5] = [
 /// method) is a PANIC-002 root: the backends call them per access.
 const POLICY_TRAIT: &str = "Policy";
 
-/// ALLOC-001 root: the batch kernel entry point. Everything it reaches
-/// must stay allocation-free to protect the batched-replay ns/event wins.
-const ALLOC_ROOTS: [(&str, &str); 1] = [("MetadataEngine", "handle_batch_with")];
+/// ALLOC-001 roots: the engine's per-event entry points. Everything they
+/// reach must stay allocation-free to protect the replay ns/event budget.
+const ALLOC_ROOTS: [(&str, &str); 2] = [
+    ("MetadataEngine", "handle_read_from"),
+    ("MetadataEngine", "handle_write_from"),
+];
 
 /// Crates whose reachable code ALLOC-001 holds allocation-free. The
 /// oracle is deliberately excluded: it is the naive-by-design reference
@@ -360,7 +365,7 @@ fn panic_002(ws: &Workspace, out: &mut Vec<RawDiag>) {
     }
 }
 
-/// ALLOC-001: heap traffic reachable from the batch kernel.
+/// ALLOC-001: heap traffic reachable from the per-event engine entries.
 fn alloc_001(ws: &Workspace, out: &mut Vec<RawDiag>) {
     let roots = ws.root_ids(&ALLOC_ROOTS, None);
     let parent = ws.reach(&roots);
@@ -384,9 +389,9 @@ fn alloc_001(ws: &Workspace, out: &mut Vec<RawDiag>) {
                     file: f.file.clone(),
                     line: s.line,
                     message: format!(
-                        "`{}` is reachable from the batch kernel: the hot loop must stay \
-                         allocation-free (preallocate in the constructor or use a stack \
-                         buffer) to hold the batched-replay ns/event budget",
+                        "`{}` is reachable from the per-event engine entries: the hot loop \
+                         must stay allocation-free (preallocate in the constructor or use a \
+                         stack buffer) to hold the replay ns/event budget",
                         s.what,
                     ),
                     chain,

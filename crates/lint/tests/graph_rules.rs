@@ -55,7 +55,7 @@ fn graphws_produces_exactly_the_documented_findings() {
             // `tenants` drifted out of both codec key sets.
             ("SCHEMA-001", "crates/obs/src/checkpoint.rs", 7),
             ("SCHEMA-001", "crates/obs/src/checkpoint.rs", 7),
-            // vec! then v[0] two hops below the batch kernel.
+            // vec! then v[0] two hops below the engine entry.
             ("ALLOC-001", "crates/sim/src/kernel.rs", 25),
             ("PANIC-002", "crates/sim/src/kernel.rs", 26),
             // sim laundering Instant::now through the obs helper.
@@ -81,7 +81,7 @@ fn graphws_chains_are_exact() {
     // Qualified call through the `use SetAssocCache as Mdc` rename.
     assert_eq!(
         chain_of("PANIC-002", "crates/cache/src/backend.rs", 14),
-        ["MetadataEngine::handle_batch_with", "SetAssocCache::tag_of"]
+        ["MetadataEngine::handle_read_from", "SetAssocCache::tag_of"]
     );
     // A Policy impl method is itself a root: one-element chain.
     assert_eq!(
@@ -89,7 +89,7 @@ fn graphws_chains_are_exact() {
         ["Lru::choose"]
     );
     // Free-fn hops below the kernel, shared by the panic and alloc sink.
-    let deep = ["MetadataEngine::handle_batch_with", "helper", "deep"];
+    let deep = ["MetadataEngine::handle_read_from", "helper", "deep"];
     assert_eq!(chain_of("PANIC-002", "crates/sim/src/kernel.rs", 26), deep);
     assert_eq!(chain_of("ALLOC-001", "crates/sim/src/kernel.rs", 25), deep);
     // Laundering chain names both ends; message names the ambient source.
@@ -188,9 +188,9 @@ fn seeded_hot_path_unwrap_is_caught_by_panic_002() {
     );
     assert!(base.is_clean(), "{:#?}", base.diagnostics);
 
-    // Mutation: an unwrap as the first statement of the batch kernel.
+    // Mutation: an unwrap as the first statement of the read entry.
     let mut mutated = engine;
-    let at = mutated.text.find("fn handle_batch_with").unwrap();
+    let at = mutated.text.find("fn handle_read_from").unwrap();
     let brace = at + mutated.text[at..].find('{').unwrap() + 1;
     mutated.text.insert_str(
         brace,
@@ -204,7 +204,7 @@ fn seeded_hot_path_unwrap_is_caught_by_panic_002() {
         .unwrap_or_else(|| panic!("mutation not caught: {:#?}", report.diagnostics));
     assert_eq!(
         hit.chain.first().map(String::as_str),
-        Some("MetadataEngine::handle_batch_with")
+        Some("MetadataEngine::handle_read_from")
     );
 }
 

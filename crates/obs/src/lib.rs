@@ -1,6 +1,5 @@
 //! Observability for the MAPS reproduction: a metrics registry, scoped
-//! phase timers, a bounded event ring buffer, and schema-versioned JSON
-//! run manifests.
+//! phase timers, and schema-versioned JSON run manifests.
 //!
 //! MAPS is a characterization study — its value is in *measured* metadata
 //! access patterns — so the instrumentation itself deserves the same care
@@ -17,8 +16,6 @@
 //!   hot path. That is the disabled-path guarantee: not "cheap", *absent*.
 //! * [`Phases`] — scoped wall-clock phase timers with nesting
 //!   (`capture/record`, `sweep/replay`, …).
-//! * [`EventRing`] — a bounded ring buffer for metadata-stream tracing
-//!   that overwrites the oldest entries and counts what it dropped.
 //! * [`Json`] / [`Manifest`] — a dependency-free JSON value type (writer
 //!   *and* parser) and the schema-versioned run manifest every
 //!   `maps-bench` binary emits.
@@ -53,7 +50,6 @@ pub mod frame;
 pub mod json;
 pub mod manifest;
 pub mod metrics;
-pub mod ring;
 pub mod sink;
 pub mod timer;
 
@@ -63,6 +59,5 @@ pub use frame::{read_frame, write_frame, FrameError, FRAME_MAGIC, MAX_FRAME_BYTE
 pub use json::{Json, JsonParseError};
 pub use manifest::{git_describe, validate_manifest, Manifest, MANIFEST_SCHEMA_VERSION};
 pub use metrics::{Histogram, Metrics};
-pub use ring::EventRing;
 pub use sink::{MetricSink, NullSink};
 pub use timer::{PhaseGuard, Phases};

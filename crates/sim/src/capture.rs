@@ -560,7 +560,8 @@ impl TraceBuilder {
     }
 }
 
-/// Decoding iterator over a packed event stream.
+/// Decoding iterator over a packed event stream, one [`CapturedEvent`] per
+/// `next`; [`ReplaySim`] drains it event by event.
 #[derive(Debug, Clone)]
 pub struct EventCursor<'a> {
     bytes: &'a [u8],
@@ -607,50 +608,7 @@ impl Iterator for EventCursor<'_> {
     }
 }
 
-impl EventCursor<'_> {
-    /// Decodes up to `buf.len()` events into `buf` in one tight loop,
-    /// returning the number decoded and the *summed* instruction-count
-    /// delta across them. This is the batched replay front end: cycle
-    /// accounting only ever adds icount deltas, so summing per batch is
-    /// bit-identical to adding per event, and decoding in bulk keeps the
-    /// varint state (position, previous block) hot in registers.
-    pub fn next_events(&mut self, buf: &mut [MemEvent]) -> (usize, u64) {
-        let n = self.remaining.min(buf.len() as u64) as usize;
-        let mut icount = 0u64;
-        for slot in &mut buf[..n] {
-            // Trusted decode: same valid-by-construction argument as
-            // `next` above.
-            let delta_icount = read_varint_trusted(self.bytes, &mut self.pos);
-            let word = read_varint_trusted(self.bytes, &mut self.pos);
-            icount += delta_icount;
-            if word & 0b10 != 0 {
-                self.tenant = read_varint_trusted(self.bytes, &mut self.pos) as u8;
-            }
-            let delta = unzigzag(word >> 2);
-            self.prev_block = self.prev_block.wrapping_add(delta);
-            let block = maps_trace::BlockAddr::new(self.prev_block as u64);
-            let tenant = TenantId(self.tenant);
-            *slot = if word & 1 == 1 {
-                MemEvent::Write(block, tenant)
-            } else {
-                MemEvent::Read(block, tenant)
-            };
-        }
-        self.remaining -= n as u64;
-        (n, icount)
-    }
-}
-
 impl ExactSizeIterator for EventCursor<'_> {}
-
-/// Largest event batch [`ReplaySim`] decodes at once; bounds the stack
-/// buffer the replay loop works out of.
-pub const MAX_BATCH_EVENTS: usize = 512;
-
-/// Default replay batch size: large enough to amortize dispatch and give
-/// the prefetcher a useful horizon, small enough that the batch buffer and
-/// the touched metadata-cache rows stay L1-resident.
-pub const DEFAULT_BATCH_EVENTS: usize = 256;
 
 /// Drives the metadata engine (or the insecure baseline) off a
 /// [`CapturedTrace`], producing the same [`SimReport`] the direct
@@ -659,21 +617,16 @@ pub const DEFAULT_BATCH_EVENTS: usize = 256;
 /// One-shot: `run`/`run_observed` consume the simulator, mirroring the
 /// fresh-engine state a direct run starts from.
 ///
-/// Replay is batched by default: events are decoded [`DEFAULT_BATCH_EVENTS`]
-/// at a time into a stack buffer and driven through
-/// [`MetadataEngine::handle_batch`], which monomorphizes the per-event
-/// dispatch once per batch and software-prefetches the metadata-cache rows
-/// of upcoming events. [`run_scalar`](Self::run_scalar) keeps the original
-/// one-event-at-a-time loop as the differential reference; both paths
-/// produce bit-identical reports (`tests/differential.rs` proves it across
-/// every policy and engine mode).
+/// Replay decodes one event at a time and hands it to the same per-event
+/// [`MetadataEngine::handle_read_from`] / [`handle_write_from`](MetadataEngine::handle_write_from)
+/// calls the direct pass makes, so the two produce bit-identical reports
+/// (`tests/differential.rs` proves it across every policy and engine mode).
 pub struct ReplaySim<'a> {
     cfg: SimConfig,
     trace: &'a CapturedTrace,
     engine: Option<MetadataEngine>,
     cycles: u64,
     insecure_dram: maps_mem::DramCounters,
-    batch: usize,
 }
 
 impl<'a> ReplaySim<'a> {
@@ -714,16 +667,7 @@ impl<'a> ReplaySim<'a> {
             engine,
             cycles: 0,
             insecure_dram: maps_mem::DramCounters::default(),
-            batch: DEFAULT_BATCH_EVENTS,
         }
-    }
-
-    /// Overrides the replay batch size (clamped to
-    /// `1..=`[`MAX_BATCH_EVENTS`]). Mostly for tests: equivalence must hold
-    /// at every size, including batches that straddle the warm-up boundary.
-    pub fn with_batch_size(mut self, events: usize) -> Self {
-        self.batch = events.clamp(1, MAX_BATCH_EVENTS);
-        self
     }
 
     /// Replays the capture and reports on the measured window.
@@ -734,85 +678,18 @@ impl<'a> ReplaySim<'a> {
     /// Replays with an observer on the measured phase's metadata stream.
     pub fn run_observed<O: MetaObserver + ?Sized>(mut self, obs: &mut O) -> SimReport {
         let mut cursor = self.trace.events();
-        let warmup = self.trace.warmup_events();
-        self.replay_phase(&mut cursor, warmup, &mut NullObserver);
-        // The warm-up boundary: statistics reset, state persists.
-        if let Some(engine) = &mut self.engine {
-            engine.reset_stats();
-        }
-        self.cycles = 0;
-        self.insecure_dram = maps_mem::DramCounters::default();
-        let measured = cursor.remaining;
-        self.replay_phase(&mut cursor, measured, obs);
-        self.cycles += self.trace.tail_icount();
-        self.finish_report()
-    }
-
-    /// Replays one phase — up to `limit` events — batch by batch. Cycle
-    /// accounting is a commutative sum (icount deltas + read stalls), so
-    /// adding the batch's summed icount before its stalls reproduces the
-    /// scalar interleaving bit-for-bit.
-    fn replay_phase<O: MetaObserver + ?Sized>(
-        &mut self,
-        cursor: &mut EventCursor<'_>,
-        mut limit: u64,
-        obs: &mut O,
-    ) {
-        let mut buf =
-            [MemEvent::Read(maps_trace::BlockAddr::new(0), TenantId::HOST); MAX_BATCH_EVENTS];
-        while limit > 0 {
-            let want = limit.min(self.batch as u64) as usize;
-            let (n, icount) = cursor.next_events(&mut buf[..want]);
-            if n == 0 {
-                // Truncated stream: no events left mid-phase. Stop rather
-                // than panic (PANIC-001); the window simply comes up short.
-                return;
-            }
-            limit -= n as u64;
-            self.cycles += icount;
-            match &mut self.engine {
-                Some(engine) => self.cycles += engine.handle_batch(&buf[..n], obs),
-                None => {
-                    for event in &buf[..n] {
-                        match event {
-                            MemEvent::Write(..) => self.insecure_dram.writes += 1,
-                            MemEvent::Read(..) => {
-                                self.insecure_dram.reads += 1;
-                                self.cycles += self.cfg.dram.latency_cycles;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Replays with the original one-event-at-a-time loop. Kept as the
-    /// differential reference for the batched path (and as the fallback
-    /// behind `MAPS_BATCH=0`).
-    pub fn run_scalar(self) -> SimReport {
-        self.run_scalar_observed(&mut NullObserver)
-    }
-
-    /// Scalar replay with an observer on the measured phase's stream.
-    pub fn run_scalar_observed<O: MetaObserver + ?Sized>(mut self, obs: &mut O) -> SimReport {
-        let mut cursor = self.trace.events();
         // `take` rather than indexed `next().expect(…)`: a truncated
         // capture must not panic in the replay path (PANIC-001); a short
         // stream simply yields an empty measured window.
         let warmup = self.trace.warmup_events() as usize;
-        for ev in cursor.by_ref().take(warmup) {
-            self.apply(ev, &mut NullObserver);
-        }
+        self.replay(cursor.by_ref().take(warmup), &mut NullObserver);
         // The warm-up boundary: statistics reset, state persists.
         if let Some(engine) = &mut self.engine {
             engine.reset_stats();
         }
         self.cycles = 0;
         self.insecure_dram = maps_mem::DramCounters::default();
-        for ev in cursor {
-            self.apply(ev, obs);
-        }
+        self.replay(cursor, obs);
         self.cycles += self.trace.tail_icount();
         self.finish_report()
     }
@@ -828,17 +705,33 @@ impl<'a> ReplaySim<'a> {
         )
     }
 
-    fn apply<O: MetaObserver + ?Sized>(&mut self, ev: CapturedEvent, obs: &mut O) {
-        self.cycles += ev.icount_delta;
-        match (ev.event, &mut self.engine) {
-            (MemEvent::Write(block, t), Some(engine)) => engine.handle_write_from(block, t, obs),
-            (MemEvent::Read(block, t), Some(engine)) => {
-                self.cycles += engine.handle_read_from(block, t, obs);
+    /// Drives `events` through the engine, or counts them as plain DRAM
+    /// traffic when the configuration is insecure. Testing for the engine
+    /// once per phase keeps the insecure baselines' loop a bare
+    /// decode-and-count; a per-event test cost them ~5% end to end.
+    fn replay<O: MetaObserver + ?Sized>(
+        &mut self,
+        events: impl Iterator<Item = CapturedEvent>,
+        obs: &mut O,
+    ) {
+        let Some(engine) = &mut self.engine else {
+            for ev in events {
+                self.cycles += ev.icount_delta;
+                match ev.event {
+                    MemEvent::Write(..) => self.insecure_dram.writes += 1,
+                    MemEvent::Read(..) => {
+                        self.insecure_dram.reads += 1;
+                        self.cycles += self.cfg.dram.latency_cycles;
+                    }
+                }
             }
-            (MemEvent::Write(..), None) => self.insecure_dram.writes += 1,
-            (MemEvent::Read(..), None) => {
-                self.insecure_dram.reads += 1;
-                self.cycles += self.cfg.dram.latency_cycles;
+            return;
+        };
+        for ev in events {
+            self.cycles += ev.icount_delta;
+            match ev.event {
+                MemEvent::Write(block, t) => engine.handle_write_from(block, t, obs),
+                MemEvent::Read(block, t) => self.cycles += engine.handle_read_from(block, t, obs),
             }
         }
     }
@@ -1027,7 +920,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_cursor_tracks_tenant_switches() {
+    fn cursor_tracks_tenant_switches() {
         use maps_trace::TenantId;
         let mut b = TraceBuilder::new("t", 0, key());
         b.mark_warmup_end();
@@ -1039,21 +932,18 @@ mod tests {
             );
         }
         let trace = b.finish(0);
-        // Decode with a batch that straddles the switches.
-        let mut cursor = trace.events();
-        let mut buf = [MemEvent::Read(BlockAddr::new(0), TenantId::HOST); 3];
-        let mut got = Vec::new();
-        loop {
-            let (n, _) = cursor.next_events(&mut buf);
-            if n == 0 {
-                break;
-            }
-            got.extend_from_slice(&buf[..n]);
-        }
-        let want: Vec<_> = trace.events().map(|e| e.event).collect();
-        assert_eq!(got, want);
-        for (ev, &t) in got.iter().zip(&tenants) {
-            assert_eq!(ev.tenant(), TenantId(t));
+        // Drain the cursor: every event keeps its block, icount and the
+        // tenant in force when it was pushed, across each switch.
+        let cursor = trace.events();
+        assert_eq!(cursor.len(), tenants.len());
+        let got: Vec<_> = cursor.collect();
+        assert_eq!(got.len(), tenants.len());
+        for (i, (ev, &t)) in got.iter().zip(&tenants).enumerate() {
+            assert_eq!(
+                ev.event,
+                MemEvent::Write(BlockAddr::new(i as u64 * 17), TenantId(t))
+            );
+            assert_eq!(ev.icount_delta, 2);
         }
     }
 

@@ -9,7 +9,6 @@ use maps_secure::{CounterStore, Layout, SecureConfig, WriteOutcome};
 use maps_trace::{AccessKind, BlockAddr, BlockKind, MetaAccess, TenantId};
 
 use crate::config::MdcConfig;
-use crate::hierarchy::MemEvent;
 use crate::mdcache::MetadataCache;
 
 /// Observer of the metadata access stream (every counter/hash/tree block
@@ -173,45 +172,6 @@ impl TreeWalk {
     }
 }
 
-/// Lookahead of the batch kernel's software prefetch: while event *i* is
-/// being processed, the metadata-cache rows of event *i + k* are requested.
-/// Eight events at ~10 memory-level-parallel loads apiece comfortably cover
-/// an L2 miss on the one-core hosts the sweeps run on.
-pub const PREFETCH_DISTANCE: usize = 8;
-
-/// Per-batch prefetch strategy for [`MetadataEngine::handle_batch_with`].
-///
-/// The batch kernel is monomorphized over this trait, so the strategy is
-/// selected once per batch and a no-op impl compiles away entirely — the
-/// same zero-cost contract [`MetaObserver`] has, and like observer impls,
-/// implementations must be `#[inline]` (enforced by maps-lint PERF-001).
-pub trait BatchPrefetcher {
-    /// Requests the metadata lines `event` will touch, ahead of use.
-    fn prefetch(&self, engine: &MetadataEngine, event: MemEvent);
-}
-
-/// Prefetches the metadata-cache tag/timestamp rows of the counter and hash
-/// blocks the event implies (the default batch strategy).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TagPrefetcher;
-
-impl BatchPrefetcher for TagPrefetcher {
-    #[inline(always)]
-    fn prefetch(&self, engine: &MetadataEngine, event: MemEvent) {
-        engine.prefetch_event(event);
-    }
-}
-
-/// Issues no prefetches. Used by tests to prove the hint has no
-/// architectural effect, and as the strategy for non-x86 hosts' baselines.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoPrefetch;
-
-impl BatchPrefetcher for NoPrefetch {
-    #[inline(always)]
-    fn prefetch(&self, _engine: &MetadataEngine, _event: MemEvent) {}
-}
-
 /// The metadata engine.
 ///
 /// One instance per simulated memory controller. `handle_read` and
@@ -370,71 +330,6 @@ impl MetadataEngine {
         }
     }
 
-    /// Processes a batch of LLC events, returning the summed read stalls.
-    ///
-    /// Bit-identical to calling [`handle_read`](Self::handle_read) /
-    /// [`handle_write`](Self::handle_write) per event and summing the read
-    /// stalls: the engine-mode dispatch (MDC on/off) is hoisted to one
-    /// monomorphized kernel selection per batch instead of per event, and
-    /// the default [`TagPrefetcher`] warms the metadata-cache rows of event
-    /// *i +* [`PREFETCH_DISTANCE`] while event *i* is finishing.
-    pub fn handle_batch<O: MetaObserver + ?Sized>(
-        &mut self,
-        events: &[MemEvent],
-        obs: &mut O,
-    ) -> u64 {
-        self.handle_batch_with(events, &TagPrefetcher, obs)
-    }
-
-    /// [`handle_batch`](Self::handle_batch) with an explicit prefetch
-    /// strategy (tests use [`NoPrefetch`] to prove hint-independence).
-    pub fn handle_batch_with<O: MetaObserver + ?Sized, PF: BatchPrefetcher>(
-        &mut self,
-        events: &[MemEvent],
-        prefetcher: &PF,
-        obs: &mut O,
-    ) -> u64 {
-        if self.mdc.is_some() {
-            self.batch_kernel::<O, PF, true>(events, prefetcher, obs)
-        } else {
-            self.batch_kernel::<O, PF, false>(events, prefetcher, obs)
-        }
-    }
-
-    fn batch_kernel<O: MetaObserver + ?Sized, PF: BatchPrefetcher, const HAS_MDC: bool>(
-        &mut self,
-        events: &[MemEvent],
-        prefetcher: &PF,
-        obs: &mut O,
-    ) -> u64 {
-        let mut stall = 0u64;
-        for (i, &event) in events.iter().enumerate() {
-            if let Some(&ahead) = events.get(i + PREFETCH_DISTANCE) {
-                prefetcher.prefetch(self, ahead);
-            }
-            match event {
-                MemEvent::Read(block, t) => stall += self.read_event::<O, HAS_MDC>(block, t, obs),
-                MemEvent::Write(block, t) => self.write_event::<O, HAS_MDC>(block, t, obs),
-            }
-        }
-        stall
-    }
-
-    /// Requests the metadata-cache rows `event` will touch: the counter and
-    /// hash block of its data address. Tree-walk levels are deliberately not
-    /// prefetched — their addresses need per-level layout lookups, and
-    /// measured on the sweep hosts that arithmetic costs more than the
-    /// cache stalls it hides. A hint only: no statistics, cache state, or
-    /// observer calls are affected.
-    #[inline]
-    fn prefetch_event(&self, event: MemEvent) {
-        let Some(mdc) = &self.mdc else { return };
-        let (MemEvent::Read(block, _) | MemEvent::Write(block, _)) = event;
-        let counter = self.layout.counter_block_of(block);
-        mdc.prefetch(counter.index());
-        mdc.prefetch(self.layout.hash_block_of(block).index());
-    }
-
     fn read_event<O: MetaObserver + ?Sized, const HAS_MDC: bool>(
         &mut self,
         data: BlockAddr,
@@ -541,8 +436,9 @@ impl MetadataEngine {
     ///
     /// Like every private engine kernel, monomorphized over `HAS_MDC` —
     /// `true` iff `self.mdc` is populated (the public entry points
-    /// guarantee the match) — so per-batch dispatch erases the per-event
-    /// MDC-mode branches while keeping one shared logic body.
+    /// guarantee the match) — so one branch per event selects the kernel
+    /// and the MDC-mode branches inside it compile away, while keeping one
+    /// shared logic body.
     fn meta_read<O: MetaObserver + ?Sized, const HAS_MDC: bool>(
         &mut self,
         block: BlockAddr,

@@ -40,13 +40,10 @@ pub mod sim;
 
 pub use capture::{
     CaptureLoadError, CapturedEvent, CapturedTrace, DecodeError, EventCursor, FrontEndKey,
-    ReplaySim, TraceBuilder, DEFAULT_BATCH_EVENTS, MAX_BATCH_EVENTS,
+    ReplaySim, TraceBuilder,
 };
 pub use config::{CacheContents, MdcConfig, MdcDesign, PartitionMode, PolicyChoice, SimConfig};
-pub use engine::{
-    BatchPrefetcher, EngineStats, MetaObserver, MetadataEngine, NoPrefetch, NullObserver,
-    RecordingObserver, TagPrefetcher, PREFETCH_DISTANCE,
-};
+pub use engine::{EngineStats, MetaObserver, MetadataEngine, NullObserver, RecordingObserver};
 pub use hierarchy::{Hierarchy, HierarchyStats, MemEvent};
 pub use mdcache::MetadataCache;
 pub use probe::MetricsProbe;

@@ -414,17 +414,6 @@ impl MetadataCache {
         }
     }
 
-    /// Prefetches the metadata-cache rows `key` would touch into the host
-    /// cache (a hint for the batched replay path; no architectural
-    /// effect). No-op under the randomized design, whose keyed-index rows
-    /// are not worth the hash arithmetic to predict.
-    #[inline]
-    pub fn prefetch(&self, key: u64) {
-        if let Backend::Set(c, _) = &self.backend {
-            c.prefetch_set(key);
-        }
-    }
-
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
         match &self.backend {

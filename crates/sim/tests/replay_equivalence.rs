@@ -116,44 +116,3 @@ fn observed_replay_sees_identical_metadata_stream() {
     ReplaySim::new(cfg, &trace).run_observed(&mut replay_rec);
     assert_eq!(direct_rec.records, replay_rec.records);
 }
-
-#[test]
-fn scalar_replay_matches_direct() {
-    // `run()` above exercises the batched engine; the scalar reference
-    // loop must independently reproduce the direct simulation too, so
-    // batched ≡ scalar ≡ direct forms a closed triangle.
-    let cfg = SimConfig::paper_default();
-    for bench in BENCHES {
-        let d = direct(&cfg, bench);
-        let trace = CapturedTrace::record(&cfg, bench.build(SEED), ACCESSES);
-        let s = ReplaySim::new(cfg.clone(), &trace).run_scalar();
-        assert_eq!(d, s, "{bench}: scalar replay diverged from direct");
-    }
-}
-
-#[test]
-fn every_batch_size_matches_scalar() {
-    // Equivalence must hold wherever batch boundaries fall, including
-    // size 1 (degenerate), sizes around the default, the maximum, and an
-    // out-of-range request (clamped to the maximum).
-    let cfg = SimConfig::paper_default();
-    let trace = CapturedTrace::record(&cfg, Benchmark::Mcf.build(SEED), ACCESSES);
-    let scalar = ReplaySim::new(cfg.clone(), &trace).run_scalar();
-    for batch in [1usize, 2, 7, 64, 255, 256, 257, 511, 512, usize::MAX] {
-        let b = ReplaySim::new(cfg.clone(), &trace)
-            .with_batch_size(batch)
-            .run();
-        assert_eq!(b, scalar, "batch size {batch} diverged from scalar");
-    }
-}
-
-#[test]
-fn scalar_observed_sees_identical_metadata_stream() {
-    let cfg = SimConfig::paper_default();
-    let trace = CapturedTrace::record(&cfg, Benchmark::Gups.build(SEED), ACCESSES);
-    let mut batched_rec = RecordingObserver::new();
-    ReplaySim::new(cfg.clone(), &trace).run_observed(&mut batched_rec);
-    let mut scalar_rec = RecordingObserver::new();
-    ReplaySim::new(cfg, &trace).run_scalar_observed(&mut scalar_rec);
-    assert_eq!(batched_rec.records, scalar_rec.records);
-}

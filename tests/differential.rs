@@ -10,10 +10,9 @@
 //! dumped as a replayable artifact under `results/failures/` (see
 //! `maps_oracle::diff`).
 //!
-//! A second differential axis lives here too: the batched SoA replay
-//! engine vs the scalar reference loop, across the same policy × mode
-//! matrix and the adversarial storm generators at batch sizes chosen to
-//! straddle cascade and overflow bursts.
+//! A second differential axis lives here too: capture + `ReplaySim`
+//! replay vs the direct `SecureSim` pass, across the same policy × mode
+//! matrix and the overflow/cascade storm generators.
 
 use maps_cache::Partition;
 use maps_oracle::diff::{
@@ -22,10 +21,10 @@ use maps_oracle::diff::{
 };
 use maps_secure::CounterMode;
 use maps_sim::{
-    CacheContents, CapturedTrace, MdcConfig, MdcDesign, PartitionMode, PolicyChoice, ReplaySim,
-    SimConfig,
+    CacheContents, CapturedTrace, MdcConfig, MdcDesign, PartitionMode, PolicyChoice,
+    RecordingObserver, ReplaySim, SecureSim, SimConfig,
 };
-use maps_workloads::{Benchmark, CascadeDeepGen, OverflowHeavyGen, PartitionBoundaryGen};
+use maps_workloads::{Benchmark, CascadeDeepGen, OverflowHeavyGen, PartitionBoundaryGen, Workload};
 
 /// Small hierarchy + small MDC so conflict misses, evictions, and cascades
 /// happen within short traces.
@@ -363,25 +362,32 @@ fn benchmark_profile_trace() {
     );
 }
 
-/// Asserts the batched SoA replay reproduces the scalar reference loop
-/// bit-for-bit — full [`maps_sim::SimReport`] equality, cycles included.
-fn batched_vs_scalar(label: &str, cfg: &SimConfig, trace: &CapturedTrace) {
-    let scalar = ReplaySim::new(cfg.clone(), trace).run_scalar();
-    let batched = ReplaySim::new(cfg.clone(), trace).run();
+/// Asserts that replaying `trace` reproduces the direct `SecureSim` pass
+/// over `workload` bit-for-bit — full [`maps_sim::SimReport`] equality,
+/// cycles included — and that both show an observer the same measured
+/// metadata stream.
+fn replay_vs_direct<W: Workload>(label: &str, cfg: &SimConfig, trace: &CapturedTrace, workload: W) {
+    let mut direct_rec = RecordingObserver::new();
+    let direct =
+        SecureSim::new(cfg.clone(), workload).run_observed(trace.accesses(), &mut direct_rec);
+    let mut replay_rec = RecordingObserver::new();
+    let replayed = ReplaySim::new(cfg.clone(), trace).run_observed(&mut replay_rec);
+    assert_eq!(replayed, direct, "{label}: replay diverged from direct");
     assert_eq!(
-        batched, scalar,
-        "{label}: batched replay diverged from scalar"
+        replay_rec.records, direct_rec.records,
+        "{label}: replayed metadata stream diverged from direct"
     );
 }
 
 #[test]
-fn batched_replay_every_policy_and_mode() {
+fn replay_matches_direct_every_policy_and_mode() {
     // A capture depends only on the front end, so one recording serves
     // every back-end point: all policies × both counter modes, MDC-off,
     // and the insecure baseline.
     let accesses = scaled_len(4_000) as u64;
     let base = base_cfg();
-    let trace = CapturedTrace::record(&base, Benchmark::Gups.build(0xBA7C), accesses);
+    let gups = || Benchmark::Gups.build(0xBA7C);
+    let trace = CapturedTrace::record(&base, gups(), accesses);
     for (i, policy) in all_policies().into_iter().enumerate() {
         for (mode, tag) in [
             (CounterMode::SplitPi, "pi"),
@@ -390,38 +396,31 @@ fn batched_replay_every_policy_and_mode() {
             let mut cfg = base.clone();
             cfg.mdc.policy = policy.clone();
             cfg.counter_mode = mode;
-            let label = format!("batch-{}-{}-{}", i, policy.name(), tag);
-            batched_vs_scalar(&label, &cfg, &trace);
+            let label = format!("replay-{}-{}-{}", i, policy.name(), tag);
+            replay_vs_direct(&label, &cfg, &trace, gups());
         }
     }
     let mut off = base.clone();
     off.mdc = MdcConfig::disabled();
-    batched_vs_scalar("batch-mdc-off", &off, &trace);
+    replay_vs_direct("replay-mdc-off", &off, &trace, gups());
     let mut insecure = base.clone();
     insecure.secure = false;
     insecure.mdc = MdcConfig::disabled();
-    batched_vs_scalar("batch-insecure", &insecure, &trace);
+    replay_vs_direct("replay-insecure", &insecure, &trace, gups());
 }
 
 #[test]
-fn batched_replay_boundary_straddling_storms() {
-    // Overflow re-encryption bursts and deep BMT cascades must not care
-    // where a batch boundary falls: every batch size — including ones
-    // guaranteed to split a cascade mid-storm — reproduces the scalar
-    // report exactly.
+fn replay_matches_direct_through_storms() {
+    // Overflow re-encryption bursts and deep BMT cascades, with the
+    // warm-up statistics reset landing mid-storm.
     let accesses = scaled_len(3_000) as u64;
     let base = base_cfg();
-    let overflow = CapturedTrace::record(&base, OverflowHeavyGen::new(11, 4, 2), accesses);
-    let cascade = CapturedTrace::record(&base, CascadeDeepGen::new(12, 64, 4), accesses);
-    for (label, trace) in [("overflow", &overflow), ("cascade", &cascade)] {
-        let scalar = ReplaySim::new(base.clone(), trace).run_scalar();
-        for batch in [1usize, 3, 8, 255, 256, 511, 512] {
-            let batched = ReplaySim::new(base.clone(), trace)
-                .with_batch_size(batch)
-                .run();
-            assert_eq!(batched, scalar, "storm-{label} at batch size {batch}");
-        }
-    }
+    let overflow = || OverflowHeavyGen::new(11, 4, 2);
+    let cascade = || CascadeDeepGen::new(12, 64, 4);
+    let trace = CapturedTrace::record(&base, overflow(), accesses);
+    replay_vs_direct("storm-overflow", &base, &trace, overflow());
+    let trace = CapturedTrace::record(&base, cascade(), accesses);
+    replay_vs_direct("storm-cascade", &base, &trace, cascade());
 }
 
 #[test]

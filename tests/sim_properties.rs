@@ -131,29 +131,6 @@ proptest! {
     }
 
     #[test]
-    fn batched_replay_matches_scalar_at_any_batch_size(
-        accesses in prop::collection::vec((0u16..1024, any::<bool>()), 20..120),
-        batch in 1usize..=512,
-        mdc_size in prop::sample::select(vec![0u64, 2048, 65536]),
-        sgx in any::<bool>(),
-    ) {
-        use maps::secure::CounterMode;
-        use maps::sim::{CapturedTrace, ReplaySim};
-        let n = accesses.len() as u64 * 3;
-        let mut cfg = small_cfg(mdc_size);
-        if sgx {
-            cfg.counter_mode = CounterMode::SgxMonolithic;
-        }
-        let trace = CapturedTrace::record(&cfg, workload_from(&accesses), n);
-        let scalar = ReplaySim::new(cfg.clone(), &trace).run_scalar();
-        let batched = ReplaySim::new(cfg, &trace).with_batch_size(batch).run();
-        prop_assert_eq!(
-            batched, scalar,
-            "batched replay (batch={}) diverged from scalar", batch
-        );
-    }
-
-    #[test]
     fn contents_restriction_only_reduces_hits(
         accesses in prop::collection::vec((0u16..1024, any::<bool>()), 20..80),
     ) {
